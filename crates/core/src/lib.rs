@@ -29,12 +29,18 @@
 //!   is decompressed and decoded once, then simulated under every
 //!   candidate machine, so per-config estimates are matched-pair
 //!   comparable by construction,
-//! * parallel processing over [`std::thread::scope`]d workers with
-//!   sharded, low-contention accumulation — live-point independence
-//!   makes this embarrassingly parallel. Work is distributed by a
-//!   dynamic chunk-claiming scheduler with decode-ahead prefetch
-//!   ([`ChunkCursor`], [`SchedMode`]); exhaustive parallel runs replay
-//!   observations in index order and are bit-identical to serial runs.
+//! * one point-processing engine behind all three runners: workers
+//!   claim index chunks from a dynamic scheduler with decode-ahead
+//!   prefetch ([`ChunkCursor`], [`SchedMode`]), accumulate thread-local
+//!   estimates merged every few points, check the stop rule on the
+//!   merged state, and checkpoint raw observations for crash recovery
+//!   ([`Recovery`]). Live-point independence makes this embarrassingly
+//!   parallel; observations are replayed in index order after the
+//!   join, so exhaustive parallel runs are bit-identical to serial
+//!   ones. A serial `run` is the one-worker case of the same loop, so
+//!   `run` and `run_parallel(…, 1)` are the same run, early stop
+//!   included. Each runner offers `run`, `run_parallel` and
+//!   `run_recoverable(program, policy, threads, recovery)`.
 //!
 //! ## Example
 //!
@@ -64,6 +70,7 @@
 
 mod creation;
 mod encode;
+mod engine;
 mod error;
 mod health;
 mod library;

@@ -337,12 +337,13 @@ impl RunCheckpoint {
 ///
 /// // "Crash" after three points; the flushed sidecar survives.
 /// let crash = Recovery::none().checkpoint_to(&ckpt, 2).abort_after(3);
-/// let err = runner.run_recoverable(&program, &policy, &crash).unwrap_err();
+/// let err = runner.run_recoverable(&program, &policy, 1, &crash).unwrap_err();
 /// assert!(matches!(err, CoreError::Interrupted { .. }));
 ///
-/// // Restart: restored points replay, the rest simulate fresh.
+/// // Restart on two workers: restored points replay, the rest simulate
+/// // fresh, and the estimate matches a serial uninterrupted run.
 /// let resumed =
-///     runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(&ckpt))?;
+///     runner.run_recoverable(&program, &policy, 2, &Recovery::none().resume_from(&ckpt))?;
 /// let baseline = runner.run(&program, &policy)?;
 /// assert_eq!(resumed.mean().to_bits(), baseline.mean().to_bits());
 /// std::fs::remove_file(&ckpt).ok();

@@ -44,10 +44,10 @@ use std::sync::Arc;
 
 use spectral_telemetry::{Counter, Histogram, ProfilePhase, WorkerTimeline};
 
+use crate::engine::decode_point;
 use crate::error::CoreError;
 use crate::library::{DecodeScratch, LivePointLibrary};
 use crate::livepoint::LivePoint;
-use crate::runner::decode_point;
 
 // Scheduler metrics: how work moved between lanes (steals, chunk
 // sizes), how far decode ran ahead of simulation (ring occupancy), and

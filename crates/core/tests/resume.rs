@@ -69,16 +69,10 @@ fn interrupted_then_resumed_online(
 ) -> spectral_core::Estimate {
     let program = bench().build();
     let crash = Recovery::none().checkpoint_to(path, 2).abort_after(kill_at);
-    let err = match threads {
-        Some(t) => runner.run_parallel_recoverable(&program, policy, t, &crash).unwrap_err(),
-        None => runner.run_recoverable(&program, policy, &crash).unwrap_err(),
-    };
+    let err = runner.run_recoverable(&program, policy, threads.unwrap_or(1), &crash).unwrap_err();
     assert!(matches!(err, CoreError::Interrupted { .. }), "expected interruption, got: {err}");
     let resume = Recovery::none().checkpoint_to(path, 2).resume_from(path);
-    match threads {
-        Some(t) => runner.run_parallel_recoverable(&program, policy, t, &resume).unwrap(),
-        None => runner.run_recoverable(&program, policy, &resume).unwrap(),
-    }
+    runner.run_recoverable(&program, policy, threads.unwrap_or(1), &resume).unwrap()
 }
 
 #[test]
@@ -130,15 +124,15 @@ fn online_survives_repeated_interruptions() {
     // sidecar is re-seeded with restored observations on every leg, so
     // progress accumulates monotonically across crashes.
     let first = Recovery::none().checkpoint_to(&path, 2).abort_after(3);
-    assert!(runner.run_recoverable(&program, &policy, &first).is_err());
+    assert!(runner.run_recoverable(&program, &policy, 1, &first).is_err());
     let n_first = RunCheckpoint::load(&path).unwrap().len();
     let second = Recovery::none().checkpoint_to(&path, 2).resume_from(&path).abort_after(3);
-    assert!(runner.run_recoverable(&program, &policy, &second).is_err());
+    assert!(runner.run_recoverable(&program, &policy, 1, &second).is_err());
     let n_second = RunCheckpoint::load(&path).unwrap().len();
     assert!(n_second > n_first, "second leg must extend the checkpoint ({n_first}->{n_second})");
 
     let last = Recovery::none().checkpoint_to(&path, 2).resume_from(&path);
-    let resumed = runner.run_recoverable(&program, &policy, &last).unwrap();
+    let resumed = runner.run_recoverable(&program, &policy, 1, &last).unwrap();
     assert_bits("mean", baseline.mean(), resumed.mean());
     assert_bits("half_width", baseline.half_width(), resumed.half_width());
     assert_eq!(baseline.processed(), resumed.processed());
@@ -157,18 +151,13 @@ fn matched_resume_is_bit_identical_serial_and_parallel() {
             let label = threads.map_or("serial".into(), |t| format!("x{t}"));
             let path = ckpt(&format!("matched-{sched:?}-{label}.ckpt"));
             let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-            let err = match threads {
-                Some(t) => {
-                    runner.run_parallel_recoverable(&program, &policy, t, &crash).unwrap_err()
-                }
-                None => runner.run_recoverable(&program, &policy, &crash).unwrap_err(),
-            };
+            let err = runner
+                .run_recoverable(&program, &policy, threads.unwrap_or(1), &crash)
+                .unwrap_err();
             assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
             let resume = Recovery::none().resume_from(&path);
-            let resumed = match threads {
-                Some(t) => runner.run_parallel_recoverable(&program, &policy, t, &resume).unwrap(),
-                None => runner.run_recoverable(&program, &policy, &resume).unwrap(),
-            };
+            let resumed =
+                runner.run_recoverable(&program, &policy, threads.unwrap_or(1), &resume).unwrap();
             assert_bits("delta_mean", baseline.delta_mean(), resumed.delta_mean());
             assert_bits(
                 "delta_half_width",
@@ -194,18 +183,13 @@ fn sweep_resume_is_bit_identical_serial_and_parallel() {
             let label = threads.map_or("serial".into(), |t| format!("x{t}"));
             let path = ckpt(&format!("sweep-{sched:?}-{label}.ckpt"));
             let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-            let err = match threads {
-                Some(t) => {
-                    runner.run_parallel_recoverable(&program, &policy, t, &crash).unwrap_err()
-                }
-                None => runner.run_recoverable(&program, &policy, &crash).unwrap_err(),
-            };
+            let err = runner
+                .run_recoverable(&program, &policy, threads.unwrap_or(1), &crash)
+                .unwrap_err();
             assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
             let resume = Recovery::none().resume_from(&path);
-            let resumed = match threads {
-                Some(t) => runner.run_parallel_recoverable(&program, &policy, t, &resume).unwrap(),
-                None => runner.run_recoverable(&program, &policy, &resume).unwrap(),
-            };
+            let resumed =
+                runner.run_recoverable(&program, &policy, threads.unwrap_or(1), &resume).unwrap();
             let (a, b) = (baseline.estimates(), resumed.estimates());
             assert_eq!(a.len(), b.len());
             for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -229,7 +213,7 @@ fn interrupted_online_ckpt() -> &'static PathBuf {
         let program = bench().build();
         let policy = exhaustive(SchedMode::DynamicChunk);
         let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-        assert!(runner.run_recoverable(&program, &policy, &crash).is_err());
+        assert!(runner.run_recoverable(&program, &policy, 1, &crash).is_err());
         path
     })
 }
@@ -241,8 +225,9 @@ fn resume_with_different_policy_refuses() {
     let program = bench().build();
     let mut other = exhaustive(SchedMode::DynamicChunk);
     other.merge_stride = 5;
-    let err =
-        runner.run_recoverable(&program, &other, &Recovery::none().resume_from(path)).unwrap_err();
+    let err = runner
+        .run_recoverable(&program, &other, 1, &Recovery::none().resume_from(path))
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("refusing to resume"), "{msg}");
     assert!(!msg.contains('\n'), "one-line diagnostic: {msg}");
@@ -254,8 +239,9 @@ fn resume_with_different_machine_refuses() {
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way().with_mem_latency(200));
     let program = bench().build();
     let policy = exhaustive(SchedMode::DynamicChunk);
-    let err =
-        runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(path)).unwrap_err();
+    let err = runner
+        .run_recoverable(&program, &policy, 1, &Recovery::none().resume_from(path))
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("refusing to resume"), "{msg}");
 }
@@ -267,8 +253,9 @@ fn resume_with_different_runner_kind_refuses() {
     let runner = MatchedRunner::new(library(), base.clone(), base.with_mem_latency(200));
     let program = bench().build();
     let policy = exhaustive(SchedMode::DynamicChunk);
-    let err =
-        runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(path)).unwrap_err();
+    let err = runner
+        .run_recoverable(&program, &policy, 1, &Recovery::none().resume_from(path))
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("run kind") && msg.contains("refusing to resume"), "{msg}");
 }
@@ -281,14 +268,14 @@ fn resume_from_missing_or_corrupt_checkpoint_never_silently_restarts() {
 
     let missing = ckpt("never-written.ckpt");
     let err = runner
-        .run_recoverable(&program, &policy, &Recovery::none().resume_from(&missing))
+        .run_recoverable(&program, &policy, 1, &Recovery::none().resume_from(&missing))
         .unwrap_err();
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 
     let garbled = ckpt("garbled.ckpt");
     std::fs::write(&garbled, b"spectral-ckpt v1\nmeta nonsense\ncrc 00000000\n").unwrap();
     let err = runner
-        .run_recoverable(&program, &policy, &Recovery::none().resume_from(&garbled))
+        .run_recoverable(&program, &policy, 1, &Recovery::none().resume_from(&garbled))
         .unwrap_err();
     let msg = err.to_string();
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{msg}");
@@ -306,7 +293,7 @@ fn ckpt_bytes() -> &'static [u8] {
         let program = bench().build();
         let policy = exhaustive(SchedMode::DynamicChunk);
         let crash = Recovery::none().checkpoint_to(&path, 1).abort_after(6);
-        assert!(runner.run_parallel_recoverable(&program, &policy, 2, &crash).is_err());
+        assert!(runner.run_recoverable(&program, &policy, 2, &crash).is_err());
         std::fs::read(&path).expect("checkpoint bytes")
     })
 }

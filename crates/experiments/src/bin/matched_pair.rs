@@ -109,8 +109,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         for (vi, (label, variant)) in variants.iter().enumerate() {
             let runner = MatchedRunner::new(&library, base.clone(), variant.clone());
             let recovery = cell_recovery(&args, case.name(), vi);
-            let out =
-                runner.run_parallel_recoverable(&case.program, &policy, threads, &recovery)?;
+            let out = runner.run_recoverable(&case.program, &policy, threads, &recovery)?;
             let absolute =
                 out.pair().required_absolute_sample(policy.target_rel_err, policy.confidence);
             let matched =

@@ -96,17 +96,12 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         trajectory_stride: 20,
         ..RunPolicy::default()
     };
-    let threads = args.thread_count();
-    let estimate = if threads > 1 && recovery.is_active() {
-        runner.run_parallel_recoverable(
-            &case.program,
-            &args.sched_policy(policy),
-            threads,
-            &recovery,
-        )?
-    } else {
-        runner.run_recoverable(&case.program, &policy, &recovery)?
-    };
+    let estimate = runner.run_recoverable(
+        &case.program,
+        &args.sched_policy(policy),
+        args.thread_count(),
+        &recovery,
+    )?;
     manifest.phase("run_exhaustive", t.secs());
     let reference = complete_detailed(&machine, &case.program);
 

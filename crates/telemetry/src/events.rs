@@ -582,6 +582,15 @@ pub use imp::{
 mod tests {
     use super::*;
     use crate::json::JsonValue;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The event sink and the run-summary tally are process-global:
+    /// tests that emit into them hold this lock so concurrent tests
+    /// never see each other's records.
+    fn exclusive_sinks() -> MutexGuard<'static, ()> {
+        static SINKS: Mutex<()> = Mutex::new(());
+        SINKS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn sample_progress<'a>() -> ProgressEvent<'a> {
         ProgressEvent {
@@ -606,6 +615,7 @@ mod tests {
 
     #[test]
     fn events_round_trip_as_json_lines() {
+        let _sinks = exclusive_sinks();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("spectral_events_test_{}.jsonl", std::process::id()));
         set_events_path(&path).expect("temp event sink");
@@ -675,6 +685,7 @@ mod tests {
 
     #[test]
     fn run_summary_tally_distills_the_progress_stream() {
+        let _sinks = exclusive_sinks();
         enable_run_summaries();
         assert!(run_summaries_on());
         let _ = take_run_summaries(); // start from a clean tally

@@ -178,7 +178,7 @@ proptest! {
                     while let Some(range) = cursor.claim() {
                         mark(range);
                         // Drive the adaptive shrink from the workers, as
-                        // flush_batch does from the live estimate.
+                        // the engine's merge points do from the live estimate.
                         let ratio = shrink_seed[(worker + round) % shrink_seed.len()];
                         cursor.note_rel_error(ratio * 0.03, 0.03);
                         round += 1;
