@@ -15,9 +15,10 @@
 //! compression ratios, merge lock waits, …) — empty when built with
 //! telemetry disabled, which is itself the no-overhead check. The
 //! telemetry document also carries a `"profiler"` section: a paired
-//! profiled/unprofiled measurement of the worker-timeline profiler's
-//! wall-clock cost on the 2-worker online stage, plus the phase
-//! attribution parsed back out of the stream it produced. Set
+//! journaled/unjournaled measurement of the run journal's wall-clock
+//! cost (span, health and worker-timeline profile records) on the
+//! 2-worker online stage, plus the phase attribution parsed back out
+//! of the journal it produced. Set
 //! `SPECTRAL_BENCH_QUICK=1` for the CI smoke run.
 
 use std::fmt::Write as _;
@@ -139,13 +140,13 @@ fn median_secs(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Paired profiled/unprofiled measurement of the worker-timeline
-/// profiler: time the same 2-worker online run with and without a
-/// profile sink installed, then parse the stream the profiled runs
-/// produced for interval counts and phase attribution. Installing a
-/// sink is one-way for the process lifetime, so this must run *after*
-/// the criterion groups — the scaling numbers above are never
-/// profiled.
+/// Paired profiled/unprofiled measurement of the run journal, whose
+/// records include the worker-timeline profile: time the same 2-worker
+/// online run with and without a journal installed, then parse the
+/// journal the profiled runs produced for interval counts and phase
+/// attribution. Installing a journal is one-way for the process
+/// lifetime, so this must run *after* the criterion groups — the
+/// scaling numbers above are never profiled.
 fn profiler_overhead_json() -> String {
     if !spectral_telemetry::compiled_in() {
         return String::from("{ \"enabled\": false }");
@@ -175,16 +176,16 @@ fn profiler_overhead_json() -> String {
     let unprofiled_s = time_reps();
     let profile_path =
         std::env::temp_dir().join(format!("spectral_scaling_profile_{}.jsonl", std::process::id()));
-    if let Err(e) = spectral_telemetry::set_profile_path(&profile_path) {
-        eprintln!("could not install profile sink at {}: {e}", profile_path.display());
+    if let Err(e) = spectral_telemetry::set_journal_path(&profile_path) {
+        eprintln!("could not install journal at {}: {e}", profile_path.display());
         return String::from("{ \"enabled\": false }");
     }
     let profiled_s = time_reps();
-    spectral_telemetry::flush_profile();
+    spectral_telemetry::flush_journal();
     let text = std::fs::read_to_string(&profile_path).unwrap_or_default();
     let _ = std::fs::remove_file(&profile_path);
 
-    // Attribution from the stream the profiled arm just produced: total
+    // Attribution from the journal the profiled arm just produced: total
     // intervals recorded and per-phase share of recorded busy time.
     let mut intervals = 0u64;
     let mut phase_ns: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();

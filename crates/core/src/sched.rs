@@ -31,8 +31,8 @@
 //! Everything is instrumented: steal counts, chunk sizes, prefetch-ring
 //! occupancy, and per-worker busy/idle time land in the metrics
 //! registry (`core.sched.*`) and flow into run manifests via
-//! [`spectral_telemetry::snapshot`]. When a trace sink is installed
-//! ([`spectral_telemetry::tracing`]), the same quantities are also
+//! [`spectral_telemetry::snapshot`]. When the run journal is on
+//! ([`spectral_telemetry::journaling`]), the same quantities are also
 //! sampled as per-worker `{"type":"sched"}` JSONL records, which the
 //! perfetto exporter renders as counter tracks next to the span
 //! timeline.
@@ -203,7 +203,7 @@ impl<'a> WorkQueue<'a> {
         };
         TLM_CHUNKS.inc();
         TLM_CHUNK_POINTS.record(chunk.len() as u64);
-        if spectral_telemetry::tracing() {
+        if spectral_telemetry::journaling() {
             spectral_telemetry::trace_sched(worker, Some(chunk.len() as u64), steals, None);
         }
         Some(chunk)
@@ -234,7 +234,7 @@ pub(crate) struct PrefetchRing {
     depth: usize,
     worker: usize,
     /// Last occupancy sampled into the trace, so an idle steady state
-    /// doesn't flood the sink with identical counter records.
+    /// doesn't flood the journal with identical counter records.
     last_traced: Option<u64>,
 }
 
@@ -279,7 +279,7 @@ impl PrefetchRing {
         }
         let occupancy = self.ring.len() as u64;
         TLM_PREFETCH_OCCUPANCY.record(occupancy);
-        if spectral_telemetry::tracing() && self.last_traced != Some(occupancy) {
+        if spectral_telemetry::journaling() && self.last_traced != Some(occupancy) {
             self.last_traced = Some(occupancy);
             spectral_telemetry::trace_sched(self.worker, None, None, Some(occupancy));
         }

@@ -22,9 +22,10 @@ pub struct TrajectoryPoint {
 
 /// Convergence diagnosis of one estimated series (one `(seq, run_id,
 /// run, metric, config)` group of progress records — binaries often
-/// perform several runs into one sink, and the `seq` ordinal keeps them
-/// apart; the `run_id` additionally separates different *processes*
-/// appending to a shared sink, whose `seq` ordinals collide).
+/// perform several runs into one journal, and the `seq` ordinal keeps
+/// them apart; the `run_id` additionally separates different
+/// *processes* appending to a shared journal, whose `seq` ordinals
+/// collide).
 #[derive(Debug, Clone)]
 pub struct SeriesDiagnosis {
     /// Process-wide run ordinal (0 for pre-`seq` streams).
@@ -423,7 +424,7 @@ mod tests {
 
     #[test]
     fn shared_sink_processes_split_by_run_id() {
-        // Two processes appending to one events file both start at seq
+        // Two processes appending to one journal both start at seq
         // 1; only the run_id keeps their streams apart.
         let mut a = progress(0, 8, 0.5, 8);
         a.run_id = "aaaa000000000001-1".into();

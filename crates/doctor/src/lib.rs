@@ -1,8 +1,9 @@
 //! # spectral-doctor — sampling-health analysis over telemetry artifacts
 //!
-//! The experiment binaries leave three artifacts behind: a run manifest
-//! (`--metrics-out`), a span trace (`--trace`), and a sampling-health
-//! event stream (`--events`). This crate turns them into a diagnosis:
+//! The experiment binaries leave two artifacts behind: a run manifest
+//! (`--metrics-out`) and a run journal (`--journal`) holding the span
+//! trace, the sampling-health records and the worker-timeline profile.
+//! This crate turns them into a diagnosis:
 //!
 //! * **Convergence** — the merge-stride CI trajectory per estimated
 //!   series, the stride at which the run first became eligible to stop
@@ -20,7 +21,7 @@
 //!
 //! The `spectral-doctor` binary renders the diagnosis as a text report
 //! (with a sparkline convergence curve), as machine-readable JSON
-//! (`--json`), and can convert the trace + event streams into a Chrome
+//! (`--json`), and can convert the journal into a Chrome
 //! `trace_event` document for <https://ui.perfetto.dev> (`--perfetto`).
 //!
 //! Beyond the per-run `analyze` diagnosis, the binary grew cross-run
@@ -35,11 +36,11 @@
 //!   [`spectral_stats::MatchedPair`]; designed as a CI gate (exit code
 //!   2 on regression).
 //! * **`watch`** ([`WatchFrame`]) — a live terminal dashboard over a
-//!   growing events file or registry directory, with an optional
+//!   growing run journal or registry directory, with an optional
 //!   Prometheus-style text exposition (`--prom`).
 //! * **`profile`** ([`parse_profile`], [`analyze_profile`]) —
-//!   wall-clock attribution over the worker-timeline profile stream
-//!   (the binaries' `--profile` sink): per-worker phase shares with an
+//!   wall-clock attribution over the journal's worker-timeline profile
+//!   records: per-worker phase shares with an
 //!   explicit idle remainder, merge-lock wait distribution, prefetch
 //!   stall vs decode-ahead, straggler/barrier waste, a critical-path
 //!   estimate, and the profiler's own overhead.
@@ -92,7 +93,7 @@ impl fmt::Display for DoctorError {
 
 impl std::error::Error for DoctorError {}
 
-/// One parsed `progress` record from the event stream.
+/// One parsed `progress` record from the run journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressRecord {
     /// Microseconds since the run's first telemetry event.
@@ -136,7 +137,7 @@ pub struct ProgressRecord {
     pub overshoot: Option<u64>,
 }
 
-/// One parsed `anomaly` record from the event stream.
+/// One parsed `anomaly` record from the run journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyRecord {
     /// Microseconds since the run's first telemetry event.
@@ -195,14 +196,14 @@ impl RunArtifacts {
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when a non-empty event line is not valid
-    /// JSON (unknown record types are skipped, so spans may be
-    /// interleaved).
+    /// Returns a diagnostic when a non-empty journal line is not valid
+    /// JSON (unknown record types are skipped, so spans and profile
+    /// records may be interleaved).
     pub fn from_parts(
         manifest: Option<RunManifest>,
-        events_text: &str,
+        journal_text: &str,
     ) -> Result<RunArtifacts, DoctorError> {
-        let (progress, anomalies) = parse_events(events_text)?;
+        let (progress, anomalies) = parse_events(journal_text)?;
         Ok(RunArtifacts { manifest, progress, anomalies })
     }
 
@@ -214,7 +215,7 @@ impl RunArtifacts {
     /// failures.
     pub fn load(
         manifest_path: Option<&Path>,
-        events_path: &Path,
+        journal_path: &Path,
     ) -> Result<RunArtifacts, DoctorError> {
         let manifest = match manifest_path {
             Some(p) => {
@@ -227,11 +228,11 @@ impl RunArtifacts {
             }
             None => None,
         };
-        let events = std::fs::read_to_string(events_path).map_err(|e| {
-            DoctorError(format!("cannot read events {}: {e}", events_path.display()))
+        let journal = std::fs::read_to_string(journal_path).map_err(|e| {
+            DoctorError(format!("cannot read journal {}: {e}", journal_path.display()))
         })?;
-        Self::from_parts(manifest, &events)
-            .map_err(|e| DoctorError(format!("{}: {e}", events_path.display())))
+        Self::from_parts(manifest, &journal)
+            .map_err(|e| DoctorError(format!("{}: {e}", journal_path.display())))
     }
 }
 
@@ -251,8 +252,8 @@ fn str_field(doc: &JsonValue, key: &str) -> String {
     doc.get(key).and_then(JsonValue::as_str).unwrap_or("").to_owned()
 }
 
-/// Parse a JSONL event stream into progress and anomaly records,
-/// skipping spans and unknown record types.
+/// Parse a run journal into progress and anomaly records, skipping
+/// spans, profile records and other record types.
 ///
 /// # Errors
 ///

@@ -2,9 +2,8 @@
 //! regression tracking.
 //!
 //! ```text
-//! spectral-doctor analyze --events run.events.jsonl [--manifest run.json]
-//!                         [--trace run.trace.jsonl]
-//!                         [--baseline-events old.events.jsonl]
+//! spectral-doctor analyze --journal run.jsonl [--manifest run.json]
+//!                         [--baseline-journal old.jsonl]
 //!                         [--baseline-manifest old.json]
 //!                         [--json report.json] [--perfetto trace.chrome.json]
 //!                         [--top N] [--check] [--max-imbalance PCT]
@@ -12,9 +11,9 @@
 //!                         [--benchmark NAME] [--machine NAME] [--last N]
 //! spectral-doctor gate    --registry DIR [--baseline LABEL] [--candidate LABEL]
 //!                         [--max-regress PCT] [--json PATH]
-//! spectral-doctor watch   (--events PATH | --registry DIR) [--prom FILE]
+//! spectral-doctor watch   (--journal PATH | --registry DIR) [--prom FILE]
 //!                         [--interval MS] [--once | --frames N]
-//! spectral-doctor profile --profile PATH [--json PATH] [--perfetto PATH]
+//! spectral-doctor profile --journal PATH [--json PATH] [--perfetto PATH]
 //!                         [--record-cost-ns N]
 //! ```
 //!
@@ -27,7 +26,7 @@
 //! `trend` renders per-benchmark/per-machine sparkline time series over
 //! a run registry; `gate` compares a baseline run-set against a
 //! candidate run-set and exits 0 on pass, 2 on regression, 1 on error —
-//! the CI contract; `watch` tails a growing events file or registry
+//! the CI contract; `watch` tails a growing run journal or registry
 //! directory, redrawing an in-place dashboard each `--interval` and
 //! optionally writing a Prometheus-style text exposition to `--prom`;
 //! for all three, `--registry` falls back to the `SPECTRAL_REGISTRY`
@@ -35,7 +34,7 @@
 //! the experiment binaries use for appending. `--help` / `-h` prints
 //! the usage summary and exits 0 for every subcommand;
 //! `profile` attributes each worker's wall-clock to scheduler/decode/
-//! simulate/merge phases from a `--profile` stream, reporting
+//! simulate/merge phases from a run journal's profile records, reporting
 //! contention, stragglers, a critical-path estimate, and the profiler's
 //! own overhead (priced at a clock-probe-measured per-record cost, or
 //! `--record-cost-ns` for reproducible output).
@@ -52,10 +51,9 @@ use spectral_doctor::{
 
 #[derive(Debug, Default)]
 struct AnalyzeCli {
-    events: Option<PathBuf>,
+    journal: Option<PathBuf>,
     manifest: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    baseline_events: Option<PathBuf>,
+    baseline_journal: Option<PathBuf>,
     baseline_manifest: Option<PathBuf>,
     json: Option<PathBuf>,
     perfetto: Option<PathBuf>,
@@ -64,16 +62,16 @@ struct AnalyzeCli {
     max_imbalance: Option<f64>,
 }
 
-const USAGE: &str = "spectral-doctor [analyze] --events PATH [--manifest PATH] [--trace PATH] \
-                     [--baseline-events PATH] [--baseline-manifest PATH] [--json PATH] \
+const USAGE: &str = "spectral-doctor [analyze] --journal PATH [--manifest PATH] \
+                     [--baseline-journal PATH] [--baseline-manifest PATH] [--json PATH] \
                      [--perfetto PATH] [--top N] [--check] [--max-imbalance PCT]\n\
                      spectral-doctor trend --registry DIR [--json PATH] [--binary NAME] \
                      [--benchmark NAME] [--machine NAME] [--last N]\n\
                      spectral-doctor gate --registry DIR [--baseline LABEL] \
                      [--candidate LABEL] [--max-regress PCT] [--json PATH]\n\
-                     spectral-doctor watch (--events PATH | --registry DIR) [--prom FILE] \
+                     spectral-doctor watch (--journal PATH | --registry DIR) [--prom FILE] \
                      [--interval MS] [--once | --frames N]\n\
-                     spectral-doctor profile --profile PATH [--json PATH] [--perfetto PATH] \
+                     spectral-doctor profile --journal PATH [--json PATH] [--perfetto PATH] \
                      [--record-cost-ns N]";
 
 /// A flag-value iterator shared by every subcommand parser.
@@ -105,11 +103,10 @@ fn parse_analyze(argv: &[String]) -> Result<AnalyzeCli, DoctorError> {
     let mut args = Args::new(argv);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--events" => cli.events = Some(PathBuf::from(args.value("--events")?)),
+            "--journal" => cli.journal = Some(PathBuf::from(args.value("--journal")?)),
             "--manifest" => cli.manifest = Some(PathBuf::from(args.value("--manifest")?)),
-            "--trace" => cli.trace = Some(PathBuf::from(args.value("--trace")?)),
-            "--baseline-events" => {
-                cli.baseline_events = Some(PathBuf::from(args.value("--baseline-events")?));
+            "--baseline-journal" => {
+                cli.baseline_journal = Some(PathBuf::from(args.value("--baseline-journal")?));
             }
             "--baseline-manifest" => {
                 cli.baseline_manifest = Some(PathBuf::from(args.value("--baseline-manifest")?));
@@ -133,8 +130,8 @@ fn parse_analyze(argv: &[String]) -> Result<AnalyzeCli, DoctorError> {
             }
         }
     }
-    if cli.events.is_none() {
-        return Err(DoctorError::msg(format!("--events is required\nusage: {USAGE}")));
+    if cli.journal.is_none() {
+        return Err(DoctorError::msg(format!("--journal is required\nusage: {USAGE}")));
     }
     if cli.check && cli.manifest.is_none() {
         return Err(DoctorError::msg("--check needs --manifest (the convergence verdict)"));
@@ -150,14 +147,24 @@ fn write_file(path: &PathBuf, text: &str) -> Result<(), DoctorError> {
         .map_err(|e| DoctorError::msg(format!("cannot write {}: {e}", path.display())))
 }
 
+fn read_file(path: &PathBuf) -> Result<String, DoctorError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", path.display())))
+}
+
+fn perfetto(journal: &str) -> Result<String, DoctorError> {
+    spectral_telemetry::chrome_trace(journal)
+        .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))
+}
+
 fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
-    let events = cli.events.as_ref().expect("validated in parse_analyze");
-    let artifacts = RunArtifacts::load(cli.manifest.as_deref(), events)?;
+    let journal = cli.journal.as_ref().expect("validated in parse_analyze");
+    let artifacts = RunArtifacts::load(cli.manifest.as_deref(), journal)?;
     let diagnosis = analyze(&artifacts);
 
-    let diff = match &cli.baseline_events {
-        Some(base_events) => {
-            let baseline = RunArtifacts::load(cli.baseline_manifest.as_deref(), base_events)?;
+    let diff = match &cli.baseline_journal {
+        Some(base_journal) => {
+            let baseline = RunArtifacts::load(cli.baseline_manifest.as_deref(), base_journal)?;
             Some(diff_runs(&artifacts, &baseline)?)
         }
         None => None,
@@ -172,20 +179,9 @@ fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
         )?;
     }
     if let Some(path) = &cli.perfetto {
-        // One Chrome trace over the span trace (if given) and the event
-        // stream: spans, convergence counters, anomaly instants.
-        let mut jsonl = String::new();
-        if let Some(trace) = &cli.trace {
-            jsonl = std::fs::read_to_string(trace)
-                .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", trace.display())))?;
-        }
-        jsonl.push_str(
-            &std::fs::read_to_string(events)
-                .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", events.display())))?,
-        );
-        let chrome = spectral_telemetry::chrome_trace(&jsonl)
-            .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
-        write_file(path, &chrome)?;
+        // One Chrome trace over the whole journal: spans, convergence
+        // counters, anomaly instants, profile tracks.
+        write_file(path, &perfetto(&read_file(journal)?)?)?;
     }
 
     let mut failures: Vec<String> = Vec::new();
@@ -347,7 +343,7 @@ fn gate_main(argv: &[String]) -> ExitCode {
 
 fn watch_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
-        let mut events: Option<PathBuf> = None;
+        let mut journal: Option<PathBuf> = None;
         let mut registry: Option<PathBuf> = None;
         let mut prom: Option<PathBuf> = None;
         let mut interval_ms: u64 = 1_000;
@@ -355,7 +351,7 @@ fn watch_main(argv: &[String]) -> ExitCode {
         let mut args = Args::new(argv);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--events" => events = Some(PathBuf::from(args.value("--events")?)),
+                "--journal" => journal = Some(PathBuf::from(args.value("--journal")?)),
                 "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
                 "--prom" => prom = Some(PathBuf::from(args.value("--prom")?)),
                 "--interval" => interval_ms = args.parsed("--interval", "milliseconds")?,
@@ -369,10 +365,10 @@ fn watch_main(argv: &[String]) -> ExitCode {
         // With neither source flag given, fall back to the
         // SPECTRAL_REGISTRY environment variable like trend/gate do.
         let registry =
-            if events.is_none() && registry.is_none() { registry_dir(None) } else { registry };
-        if events.is_some() == registry.is_some() {
+            if journal.is_none() && registry.is_none() { registry_dir(None) } else { registry };
+        if journal.is_some() == registry.is_some() {
             return Err(DoctorError::msg(
-                "watch needs exactly one of --events PATH or --registry DIR \
+                "watch needs exactly one of --journal PATH or --registry DIR \
                  (or the SPECTRAL_REGISTRY environment variable)",
             ));
         }
@@ -380,9 +376,9 @@ fn watch_main(argv: &[String]) -> ExitCode {
         let in_place = total > 1;
         // Incremental tail: each frame reads only appended bytes, and a
         // truncated or rotated file re-seeks instead of erroring — a
-        // sink that hasn't produced the file yet is an empty frame,
+        // journal that hasn't been created yet is an empty frame,
         // because watch outlives writers.
-        let mut tail = events.as_ref().map(spectral_doctor::EventsTail::new);
+        let mut tail = journal.as_ref().map(spectral_doctor::EventsTail::new);
         for i in 0..total {
             let frame = match (&mut tail, &registry) {
                 (Some(tail), None) => WatchFrame::from_events_text(tail.poll()),
@@ -418,16 +414,16 @@ fn watch_main(argv: &[String]) -> ExitCode {
 
 fn profile_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
-        let mut profile: Option<PathBuf> = None;
+        let mut journal: Option<PathBuf> = None;
         let mut json: Option<PathBuf> = None;
-        let mut perfetto: Option<PathBuf> = None;
+        let mut perfetto_out: Option<PathBuf> = None;
         let mut record_cost_ns: Option<u64> = None;
         let mut args = Args::new(argv);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--profile" => profile = Some(PathBuf::from(args.value("--profile")?)),
+                "--journal" => journal = Some(PathBuf::from(args.value("--journal")?)),
                 "--json" => json = Some(PathBuf::from(args.value("--json")?)),
-                "--perfetto" => perfetto = Some(PathBuf::from(args.value("--perfetto")?)),
+                "--perfetto" => perfetto_out = Some(PathBuf::from(args.value("--perfetto")?)),
                 "--record-cost-ns" => {
                     record_cost_ns = Some(args.parsed("--record-cost-ns", "nanoseconds")?);
                 }
@@ -437,14 +433,13 @@ fn profile_main(argv: &[String]) -> ExitCode {
             }
         }
         let path =
-            profile.ok_or_else(|| DoctorError::msg(format!("--profile is required\n{USAGE}")))?;
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", path.display())))?;
+            journal.ok_or_else(|| DoctorError::msg(format!("--journal is required\n{USAGE}")))?;
+        let text = read_file(&path)?;
         let runs = parse_profile(&text)
             .map_err(|e| DoctorError::msg(format!("{}: {e}", path.display())))?;
         if runs.is_empty() {
             return Err(DoctorError::msg(format!(
-                "{}: no profile records (was the run started with --profile?)",
+                "{}: no profile records (was the run started with --journal?)",
                 path.display()
             )));
         }
@@ -456,10 +451,8 @@ fn profile_main(argv: &[String]) -> ExitCode {
         if let Some(path) = &json {
             write_file(path, &render_profile_json(&reports))?;
         }
-        if let Some(out) = &perfetto {
-            let chrome = spectral_telemetry::chrome_trace(&text)
-                .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
-            write_file(out, &chrome)?;
+        if let Some(out) = &perfetto_out {
+            write_file(out, &perfetto(&text)?)?;
         }
         Ok(())
     };

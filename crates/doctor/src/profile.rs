@@ -1,5 +1,6 @@
-//! `doctor profile`: wall-clock attribution over a worker-timeline
-//! profile stream (the experiment binaries' `--profile` sink).
+//! `doctor profile`: wall-clock attribution over the worker-timeline
+//! profile records in a run journal (the experiment binaries'
+//! `--journal`).
 //!
 //! The stream carries three record types per run: one `profile_run`
 //! bracket (the run's own wall-clock), one `profile_worker` record per
@@ -104,9 +105,9 @@ pub struct ProfileRun {
     pub workers: Vec<WorkerProfile>,
 }
 
-/// Parse a profile JSONL stream into per-run structures, grouped by
-/// `(run_id, seq)` in first-seen order. Unknown record types are
-/// skipped (the stream may share a file with other sinks); a run whose
+/// Parse the profile records of a run journal into per-run structures,
+/// grouped by `(run_id, seq)` in first-seen order. Other record types
+/// (spans, health records) are skipped; a run whose
 /// `profile_run` bracket is missing (truncated stream) gets a window
 /// synthesized from its workers' envelope.
 ///
@@ -711,7 +712,7 @@ mod tests {
         "{\"type\":\"profile_phase\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
          \"run\":\"online\",\"worker\":1,\"phase\":\"merge_wait\",\"t_us\":7000,\
          \"dur_us\":300}\n",
-        // Other sinks may share the file: skipped, not fatal.
+        // Other journal records share the file: skipped, not fatal.
         "{\"type\":\"span\",\"name\":\"decode\",\"t_us\":5,\"dur_us\":2}\n",
     );
 

@@ -1,5 +1,5 @@
 //! `doctor watch`: live run exposition — a rebuilt-per-frame snapshot
-//! of a growing events file or registry directory, rendered as an
+//! of a growing run journal or registry directory, rendered as an
 //! in-place terminal dashboard and/or a Prometheus-style text
 //! exposition.
 //!
@@ -7,9 +7,9 @@
 //! watch loop polls an [`EventsTail`] each tick — reading only the
 //! bytes appended since the last frame, and re-seeking to the start
 //! when the file shrank (truncated in place or rotated) — and rebuilds
-//! the frame from the accumulated text. Parsing is deliberately
-//! *tolerant* — a live writer's last line may be mid-append, and a
-//! dashboard that dies on a partial line is useless — unlike
+//! the frame from the accumulated complete lines. Parsing is
+//! deliberately *tolerant* — a dashboard that dies on one bad line is
+//! useless — unlike
 //! [`parse_events`](crate::parse_events), which reports malformed
 //! lines because it reads completed artifacts.
 
@@ -21,10 +21,11 @@ use std::path::PathBuf;
 use spectral_registry::RunRecord;
 use spectral_telemetry::{json_number as number, JsonValue, RunSummary};
 
-/// An incremental tail over a growing events file: each [`poll`] reads
+/// An incremental tail over a growing run journal: each [`poll`] reads
 /// only the bytes appended since the last one and returns the
-/// accumulated contents, so a long watch doesn't re-read the whole
-/// file every frame.
+/// accumulated complete lines, so a long watch doesn't re-read the
+/// whole file every frame. A line still mid-append (which may end inside
+/// a multi-byte character) is held back until its newline arrives.
 ///
 /// The tail must outlive its writers: a file that doesn't exist yet (or
 /// vanished mid-rotation) is an empty frame, and a file that *shrank*
@@ -37,39 +38,49 @@ use spectral_telemetry::{json_number as number, JsonValue, RunSummary};
 pub struct EventsTail {
     path: PathBuf,
     offset: u64,
+    /// Bytes read after the last newline: a line still mid-append.
+    partial: Vec<u8>,
     text: String,
 }
 
 impl EventsTail {
     /// Start a tail over `path` (which need not exist yet).
     pub fn new(path: impl Into<PathBuf>) -> EventsTail {
-        EventsTail { path: path.into(), offset: 0, text: String::new() }
+        EventsTail { path: path.into(), offset: 0, partial: Vec::new(), text: String::new() }
     }
 
-    /// Read any appended bytes and return the accumulated file
-    /// contents. Never errors: missing files reset to an empty frame,
+    /// Read any appended bytes and return the accumulated complete
+    /// lines. Never errors: missing files reset to an empty frame,
     /// shrunken files reset to offset 0 and re-read from the start.
     pub fn poll(&mut self) -> &str {
         let Ok(mut f) = std::fs::File::open(&self.path) else {
-            self.offset = 0;
-            self.text.clear();
+            self.reset();
             return &self.text;
         };
         let len = f.metadata().map(|m| m.len()).unwrap_or(0);
         if len < self.offset {
             // Truncated or rotated: what we accumulated no longer
             // reflects the file. Start over from the new contents.
-            self.offset = 0;
-            self.text.clear();
+            self.reset();
         }
         if len > self.offset && f.seek(SeekFrom::Start(self.offset)).is_ok() {
             let mut buf = Vec::with_capacity((len - self.offset) as usize);
             if f.take(len - self.offset).read_to_end(&mut buf).is_ok() {
                 self.offset += buf.len() as u64;
-                self.text.push_str(&String::from_utf8_lossy(&buf));
+                self.partial.extend_from_slice(&buf);
+                let complete = self.partial.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let rest = self.partial.split_off(complete);
+                self.text.push_str(&String::from_utf8_lossy(&self.partial));
+                self.partial = rest;
             }
         }
         &self.text
+    }
+
+    fn reset(&mut self) {
+        self.offset = 0;
+        self.partial.clear();
+        self.text.clear();
     }
 }
 
@@ -112,7 +123,7 @@ pub struct SeriesState {
 pub struct WatchFrame {
     /// Live series, ordered by (seq, run_id, run, metric, config).
     pub series: Vec<SeriesState>,
-    /// Registry records (empty when watching an events file).
+    /// Registry records (empty when watching a journal).
     pub runs: Vec<RunRecord>,
 }
 
@@ -127,7 +138,7 @@ struct SeriesAccum {
 }
 
 impl WatchFrame {
-    /// Build a frame from an events file's current contents. Malformed
+    /// Build a frame from a run journal's current contents. Malformed
     /// lines (including a partial final line mid-append) are skipped.
     pub fn from_events_text(text: &str) -> WatchFrame {
         let mut accums: BTreeMap<SeriesKey, SeriesAccum> = BTreeMap::new();
@@ -509,6 +520,22 @@ mod tests {
         assert_eq!(tail.poll(), "");
         std::fs::write(&path, "rotated-1\n").unwrap();
         assert_eq!(tail.poll(), "rotated-1\n");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_keeps_a_character_split_across_appends() {
+        let path =
+            std::env::temp_dir().join(format!("spectral_watch_utf8_{}.jsonl", std::process::id()));
+        let e_acute = "é".as_bytes();
+        std::fs::write(&path, [b"{\"path\":\"caf".as_slice(), &e_acute[..1]].concat()).unwrap();
+        let mut tail = EventsTail::new(&path);
+        // The line (and the character) is still mid-append: nothing yet.
+        assert_eq!(tail.poll(), "");
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        std::io::Write::write_all(&mut f, &[&e_acute[1..], b"\"}\n"].concat()).unwrap();
+        drop(f);
+        assert_eq!(tail.poll(), "{\"path\":\"café\"}\n");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,9 +1,9 @@
 //! End-to-end golden test: run a real seeded online experiment with the
-//! event sink installed, then diagnose the artifacts through the doctor
+//! run journal installed, then diagnose the artifacts through the doctor
 //! library and the `spectral-doctor` binary, goldening the `--json`
 //! report shape.
 //!
-//! Everything lives in one test function: the event sink is a
+//! Everything lives in one test function: the journal is a
 //! process-wide singleton, so sequential phases share it by
 //! re-installing the path between runs.
 
@@ -47,9 +47,9 @@ fn seeded_run_diagnoses_end_to_end() {
 
     let events = temp_path("events.jsonl");
     let manifest = temp_path("manifest.json");
-    spectral_telemetry::set_events_path(&events).expect("install event sink");
+    spectral_telemetry::set_journal_path(&events).expect("install journal");
     let est = runner.run(&program, &policy).expect("online run");
-    spectral_telemetry::flush_events();
+    spectral_telemetry::flush_journal();
     write_manifest(&manifest, &est, library.len() as u64);
     assert_eq!(est.processed(), library.len(), "stop_at_target=false is exhaustive");
     assert!(est.reached_target(), "a 50% target converges partway");
@@ -79,7 +79,7 @@ fn seeded_run_diagnoses_end_to_end() {
     let report = temp_path("report.json");
     let chrome = temp_path("chrome.json");
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .args(["--events"])
+        .args(["--journal"])
         .arg(&events)
         .arg("--manifest")
         .arg(&manifest)
@@ -141,9 +141,9 @@ fn seeded_run_diagnoses_end_to_end() {
 
     // Parallel run: shard report sees every worker.
     let par_events = temp_path("par_events.jsonl");
-    spectral_telemetry::set_events_path(&par_events).expect("re-install event sink");
+    spectral_telemetry::set_journal_path(&par_events).expect("re-install journal");
     let par = runner.run_parallel(&program, &policy, 4).expect("parallel run");
-    spectral_telemetry::flush_events();
+    spectral_telemetry::flush_journal();
     let par_manifest = temp_path("par_manifest.json");
     write_manifest(&par_manifest, &par, library.len() as u64);
     let par_artifacts = RunArtifacts::load(Some(&par_manifest), &par_events).expect("load");
@@ -167,7 +167,7 @@ fn seeded_run_diagnoses_end_to_end() {
     m.set_estimate(est.mean(), est.half_width(), false);
     m.write(&bad_manifest, None).expect("write manifest");
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .arg("--events")
+        .arg("--journal")
         .arg(&events)
         .arg("--manifest")
         .arg(&bad_manifest)

@@ -1,16 +1,17 @@
-//! Differential test for the worker-timeline profiler: enabling the
-//! profile sink must leave a seeded 2-thread online run's estimates
-//! bit-identical, and the attribution `spectral-doctor profile`
-//! computes from the stream must cover ≥95% of run wall-clock.
+//! Differential test for the run journal: installing it must leave a
+//! seeded 2-thread online run's estimates bit-identical, the one
+//! journal file must feed every doctor reader (profile, health records,
+//! Perfetto), and the attribution `spectral-doctor profile` computes
+//! from it must cover ≥95% of run wall-clock.
 //!
-//! Everything lives in one test function: the profile sink is a
+//! Everything lives in one test function: the journal is a
 //! process-wide singleton and installing it is one-way, so the
-//! unprofiled arm has to run first.
+//! unjournaled arm has to run first.
 
 use std::process::Command;
 
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
-use spectral_doctor::{analyze_profile, parse_profile, render_profile_text};
+use spectral_doctor::{analyze_profile, parse_events, parse_profile, render_profile_text};
 use spectral_telemetry::JsonValue;
 use spectral_uarch::MachineConfig;
 
@@ -28,15 +29,15 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     // index-ordered replay — so two runs compare bit for bit.
     let policy = RunPolicy { target_rel_err: 1e-12, stop_at_target: false, ..RunPolicy::default() };
 
-    assert!(!spectral_telemetry::profiling(), "no profile sink installed yet");
+    assert!(!spectral_telemetry::journaling(), "no journal installed yet");
     let unprofiled = runner.run_parallel(&program, &policy, 2).expect("unprofiled run");
 
     let profile =
         std::env::temp_dir().join(format!("spectral_doctor_diff_{}.jsonl", std::process::id()));
-    spectral_telemetry::set_profile_path(&profile).expect("install profile sink");
-    assert!(spectral_telemetry::profiling(), "sink installed");
+    spectral_telemetry::set_journal_path(&profile).expect("install journal");
+    assert!(spectral_telemetry::journaling(), "journal installed");
     let profiled = runner.run_parallel(&program, &policy, 2).expect("profiled run");
-    spectral_telemetry::flush_profile();
+    spectral_telemetry::flush_journal();
 
     // The differential: recording phase intervals must not perturb the
     // estimate in any bit.
@@ -55,13 +56,28 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     );
 
     // Attribution through the doctor library.
-    let text = std::fs::read_to_string(&profile).expect("read profile stream");
-    let runs = parse_profile(&text).expect("parse profile stream");
-    assert_eq!(runs.len(), 1, "exactly the profiled run is in the stream");
+    let text = std::fs::read_to_string(&profile).expect("read journal");
+    let runs = parse_profile(&text).expect("parse profile records");
+    assert_eq!(runs.len(), 1, "exactly the profiled run is in the journal");
     let run = &runs[0];
     assert_eq!(run.run, "online");
     assert!(run.declared_workers >= 1, "run bracket declares its workers");
     assert_eq!(run.workers.len(), run.declared_workers, "every declared worker reported");
+
+    // The same journal carries the run's health records and spans.
+    let (progress, _) = parse_events(&text).expect("parse health records");
+    assert!(
+        progress.iter().any(|p| p.run_id == run.run_id),
+        "progress records carry the profiled run's run_id {}",
+        run.run_id
+    );
+    let chrome = JsonValue::parse(&spectral_telemetry::chrome_trace(&text).expect("convert"))
+        .expect("chrome trace is valid JSON");
+    let events = chrome.get("traceEvents").and_then(JsonValue::as_arr).expect("traceEvents");
+    let has_cat =
+        |cat: &str| events.iter().any(|e| e.get("cat").and_then(JsonValue::as_str) == Some(cat));
+    assert!(has_cat("span"), "span track from the journal");
+    assert!(has_cat("profile"), "profile tracks from the journal");
 
     let report = analyze_profile(run, 100);
     assert!(
@@ -88,7 +104,7 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     let json_path =
         std::env::temp_dir().join(format!("spectral_doctor_diff_{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .args(["profile", "--profile"])
+        .args(["profile", "--journal"])
         .arg(&profile)
         .arg("--json")
         .arg(&json_path)

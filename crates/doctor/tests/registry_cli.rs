@@ -217,7 +217,7 @@ fn watch_once_emits_parseable_prometheus_exposition() {
 
     let prom = temp_path("watch.prom");
     let out = doctor()
-        .args(["watch", "--once", "--events"])
+        .args(["watch", "--once", "--journal"])
         .arg(&events)
         .arg("--prom")
         .arg(&prom)
@@ -308,7 +308,7 @@ fn analyze_surfaces_resume_lineage() {
     std::fs::write(&events, "").expect("write empty events");
 
     let out = doctor()
-        .args(["analyze", "--events"])
+        .args(["analyze", "--journal"])
         .arg(&events)
         .arg("--manifest")
         .arg(&manifest)

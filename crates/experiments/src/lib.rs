@@ -47,16 +47,11 @@
 //!   reject the recovery flags instead of silently restarting.
 //! * `--metrics-out PATH` — write a JSON run manifest (with the full
 //!   metrics snapshot embedded) on exit
-//! * `--trace PATH` — append JSONL span events to PATH as the run
-//!   executes (also enabled by the `TELEMETRY` env var)
-//! * `--events PATH` — append JSONL sampling-health events (merge-stride
-//!   convergence progress, per-point anomalies) to PATH; also enabled by
-//!   the `TELEMETRY_EVENTS` env var. Feed the stream to
-//!   `spectral-doctor` afterwards.
-//! * `--profile PATH` — write JSONL worker-timeline profile records
-//!   (per-worker phase intervals and aggregates, plus a run bracket)
-//!   to PATH; also enabled by the `SPECTRAL_PROFILE` env var. Feed the
-//!   stream to `spectral-doctor profile` for wall-clock attribution.
+//! * `--journal PATH` — write the run journal to PATH: one JSONL file
+//!   holding span timings, sampling-health records (merge-stride
+//!   convergence progress, per-point anomalies) and worker-timeline
+//!   profile records; also enabled by the `SPECTRAL_JOURNAL` env var.
+//!   Feed it to `spectral-doctor analyze` and `spectral-doctor profile`.
 //! * `--registry DIR` — append one distilled run record (run id, code
 //!   version, throughput, final estimate, convergence summaries) to the
 //!   cross-run registry at DIR on exit; also enabled by the
@@ -125,12 +120,15 @@ impl<T, E: fmt::Display> IoContext<T> for Result<T, E> {
 }
 
 /// Run an experiment binary body, mapping any failure to a one-line
-/// stderr diagnostic and a non-zero exit code.
+/// stderr diagnostic and a non-zero exit code. The run journal is
+/// flushed on both paths, so a failing binary keeps every record.
 pub fn run_main(
     binary: &str,
     body: impl FnOnce(Args) -> Result<(), ExpError>,
 ) -> std::process::ExitCode {
-    match Args::try_parse().and_then(body) {
+    let result = Args::try_parse().and_then(body);
+    spectral_telemetry::flush_journal();
+    match result {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{binary}: error: {e}");
@@ -189,12 +187,8 @@ pub struct Args {
     pub resume: Option<PathBuf>,
     /// Run-manifest output path (`--metrics-out`).
     pub metrics_out: Option<PathBuf>,
-    /// JSONL span-trace output path (`--trace`).
-    pub trace: Option<PathBuf>,
-    /// JSONL sampling-health event output path (`--events`).
-    pub events: Option<PathBuf>,
-    /// JSONL worker-timeline profile output path (`--profile`).
-    pub profile: Option<PathBuf>,
+    /// JSONL run-journal output path (`--journal`).
+    pub journal: Option<PathBuf>,
     /// Cross-run registry directory (`--registry`).
     pub registry: Option<PathBuf>,
     /// Text report copy (`--report-out`).
@@ -227,9 +221,7 @@ impl Args {
             checkpoint_every: None,
             resume: None,
             metrics_out: None,
-            trace: None,
-            events: None,
-            profile: None,
+            journal: None,
             registry: None,
             report_out: None,
             report_json: None,
@@ -241,15 +233,12 @@ impl Args {
     /// # Errors
     ///
     /// Returns a usage diagnostic on unknown flags, missing values, or
-    /// malformed integers. Also installs the span-trace sink when
-    /// `--trace` (or the `TELEMETRY` env var) is present, the
-    /// sampling-health event sink when `--events` (or the
-    /// `TELEMETRY_EVENTS` env var) is present, the worker-timeline
-    /// profile sink when `--profile` (or the `SPECTRAL_PROFILE` env
-    /// var) is present, and the in-process
-    /// run-summary tally when `--registry` (or the `SPECTRAL_REGISTRY`
-    /// env var) is present — the registry record distills convergence
-    /// from the tally, which works without any JSONL sink.
+    /// malformed integers. Also installs the run journal when
+    /// `--journal` (or the `SPECTRAL_JOURNAL` env var) is present, and
+    /// the in-process run-summary tally when `--registry` (or the
+    /// `SPECTRAL_REGISTRY` env var) is present — the registry record
+    /// distills convergence from the tally, which works without a
+    /// journal.
     pub fn try_parse() -> Result<Args, ExpError> {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let args = Self::try_parse_from(&argv)?;
@@ -259,34 +248,13 @@ impl Args {
         if args.registry_dir().is_some() {
             spectral_telemetry::enable_run_summaries();
         }
-        match &args.trace {
+        match &args.journal {
             Some(path) => {
-                spectral_telemetry::set_trace_path(path).context("cannot open trace file", path)?;
+                spectral_telemetry::set_journal_path(path).context("cannot open journal", path)?;
             }
             None => {
-                spectral_telemetry::trace_from_env()
-                    .map_err(|e| ExpError::msg(format!("cannot open TELEMETRY trace file: {e}")))?;
-            }
-        }
-        match &args.events {
-            Some(path) => {
-                spectral_telemetry::set_events_path(path)
-                    .context("cannot open events file", path)?;
-            }
-            None => {
-                spectral_telemetry::events_from_env().map_err(|e| {
-                    ExpError::msg(format!("cannot open TELEMETRY_EVENTS file: {e}"))
-                })?;
-            }
-        }
-        match &args.profile {
-            Some(path) => {
-                spectral_telemetry::set_profile_path(path)
-                    .context("cannot open profile file", path)?;
-            }
-            None => {
-                spectral_telemetry::profile_from_env().map_err(|e| {
-                    ExpError::msg(format!("cannot open SPECTRAL_PROFILE file: {e}"))
+                spectral_telemetry::journal_from_env().map_err(|e| {
+                    ExpError::msg(format!("cannot open SPECTRAL_JOURNAL file: {e}"))
                 })?;
             }
         }
@@ -376,9 +344,7 @@ impl Args {
                 }
                 "--resume" => args.resume = Some(PathBuf::from(value("--resume")?)),
                 "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-                "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
-                "--events" => args.events = Some(PathBuf::from(value("--events")?)),
-                "--profile" => args.profile = Some(PathBuf::from(value("--profile")?)),
+                "--journal" => args.journal = Some(PathBuf::from(value("--journal")?)),
                 "--registry" => args.registry = Some(PathBuf::from(value("--registry")?)),
                 "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
                 "--report-json" => args.report_json = Some(PathBuf::from(value("--report-json")?)),
@@ -388,8 +354,8 @@ impl Args {
                          --windows --seeds --scale --machine --threads --library \
                          --save-library --lib-format --block --dict --decode-cache \
                          --chunk --prefetch --target --checkpoint --checkpoint-every \
-                         --resume --metrics-out --trace --events \
-                         --profile --registry --report-out --report-json)"
+                         --resume --metrics-out --journal --registry --report-out \
+                         --report-json)"
                     )))
                 }
             }
@@ -583,8 +549,7 @@ impl Args {
     /// the stored manifest artifact and the convergence summaries
     /// drained from the in-process tally) to the cross-run registry
     /// (when `--registry` / `SPECTRAL_REGISTRY` names one), and flush
-    /// the span trace, sampling-health event stream, and worker-timeline
-    /// profile stream.
+    /// the run journal.
     ///
     /// # Errors
     ///
@@ -622,9 +587,7 @@ impl Args {
                 registry.append(&record).context("cannot append to registry", &dir)?;
             }
         }
-        spectral_telemetry::flush_trace();
-        spectral_telemetry::flush_events();
-        spectral_telemetry::flush_profile();
+        spectral_telemetry::flush_journal();
         Ok(())
     }
 }
@@ -1048,12 +1011,8 @@ mod tests {
             "r.ckpt",
             "--metrics-out",
             "m.json",
-            "--trace",
-            "t.jsonl",
-            "--events",
-            "e.jsonl",
-            "--profile",
-            "p.jsonl",
+            "--journal",
+            "j.jsonl",
             "--report-out",
             "r.txt",
             "--report-json",
@@ -1092,9 +1051,7 @@ mod tests {
         assert!(recovery.is_active());
         assert!(a.reject_recovery_flags("fig4").is_err());
         assert_eq!(a.metrics_out.as_deref(), Some(std::path::Path::new("m.json")));
-        assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
-        assert_eq!(a.events.as_deref(), Some(std::path::Path::new("e.jsonl")));
-        assert_eq!(a.profile.as_deref(), Some(std::path::Path::new("p.jsonl")));
+        assert_eq!(a.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
         assert_eq!(a.report_out.as_deref(), Some(std::path::Path::new("r.txt")));
         assert_eq!(a.report_json.as_deref(), Some(std::path::Path::new("r.json")));
         assert_eq!(a.registry.as_deref(), Some(std::path::Path::new("reg-dir")));

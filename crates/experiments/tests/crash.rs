@@ -9,7 +9,7 @@
 //! crash the binary for real, restart it with `--resume`, read the same
 //! answer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use spectral_core::{LivePointLibrary, RunCheckpoint};
@@ -157,6 +157,43 @@ fn kill_between_fsync_and_rename_never_leaves_a_torn_container_or_manifest() {
     );
     assert!(!out.status.success());
     assert!(!manifest.exists(), "no torn manifest at the destination");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failing_run_still_flushes_its_whole_journal() {
+    // An unwritable manifest fails the binary after its runs; the
+    // journal must still hold every record a successful run writes.
+    let dir = temp_dir("journal");
+    let progress_records = |journal: &Path| {
+        std::fs::read_to_string(journal)
+            .expect("journal written")
+            .lines()
+            .filter(|l| l.contains("\"type\":\"progress\""))
+            .count()
+    };
+    let run = |journal: &Path, manifest: &Path| {
+        online(
+            &[
+                "--threads",
+                "1",
+                "--journal",
+                journal.to_str().unwrap(),
+                "--metrics-out",
+                manifest.to_str().unwrap(),
+            ],
+            &[],
+        )
+    };
+    let ok_journal = dir.join("ok.jsonl");
+    let ok = run(&ok_journal, &dir.join("m.json"));
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    let failed_journal = dir.join("failed.jsonl");
+    let failed = run(&failed_journal, &dir.join("missing-dir").join("m.json"));
+    assert!(!failed.status.success(), "an unwritable --metrics-out must fail the run");
+    let expected = progress_records(&ok_journal);
+    assert!(expected > 0, "the run emits progress records");
+    assert_eq!(progress_records(&failed_journal), expected, "the failing run lost records");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

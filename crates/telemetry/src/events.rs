@@ -1,7 +1,8 @@
-//! Sampling-health event stream: structured JSONL records of a run's
-//! *statistical* health, complementing the mechanical span trace.
+//! Sampling-health records: structured JSONL records of a run's
+//! *statistical* health, written to the run journal beside the
+//! mechanical span trace.
 //!
-//! Two record types share one sink:
+//! The two main record types:
 //!
 //! ```json
 //! {"type":"progress","run_id":"9f2a41c07d3be581-1","seq":1,"run":"online",
@@ -18,7 +19,7 @@
 //! ## Run identity
 //!
 //! `seq` is a process-wide run ordinal (from [`next_run_seq`]): one
-//! binary often performs several runs back to back into the same sink,
+//! binary often performs several runs back to back into the same journal,
 //! and the ordinal is what lets a consumer separate their record
 //! streams. The ordinal alone is **not** collision-resistant — two
 //! separate processes both start at `seq = 1`, so merged logs (or a
@@ -42,17 +43,15 @@
 //!   fired (`kinds`: `cpi_outlier`, `slow_decode`, `slow_simulate`),
 //!   the point's library index and window provenance, and the running
 //!   estimate it deviated from.
+//! * **checkpoint** — a run flushed its crash-recovery sidecar.
 //!
-//! The sink is installed by [`set_events_path`] (the experiment
-//! binaries' `--events` flag) or the `TELEMETRY_EVENTS` environment
-//! variable. When no sink is installed, [`events_on`] is a single
-//! relaxed atomic load and the emitters return immediately; when the
-//! crate is built without the `enabled` feature, everything here is an
-//! inlined no-op.
+//! When no journal is installed the emitters return after one relaxed
+//! atomic load; built without the `enabled` feature, everything here
+//! is an inlined no-op.
 //!
 //! ## In-process run summaries
 //!
-//! Independent of the JSONL sink, [`enable_run_summaries`] turns on an
+//! Independent of the journal, [`enable_run_summaries`] turns on an
 //! in-process tally that distills the progress/anomaly stream into one
 //! [`RunSummary`] per `(seq, run, metric, config)` series — final n /
 //! mean / CI, the first point count at which the run became eligible to
@@ -151,7 +150,8 @@ pub struct ProgressEvent<'a> {
 }
 
 impl ProgressEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run journal (no-op when none is
+    /// installed).
     pub fn emit(&self) {
         imp::emit_progress(self);
     }
@@ -190,7 +190,8 @@ pub struct AnomalyEvent<'a> {
 }
 
 impl AnomalyEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run journal (no-op when none is
+    /// installed).
     pub fn emit(&self) {
         imp::emit_anomaly(self);
     }
@@ -208,7 +209,8 @@ pub struct CheckpointEvent<'a> {
 }
 
 impl CheckpointEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run journal (no-op when none is
+    /// installed).
     pub fn emit(&self) {
         imp::emit_checkpoint(self);
     }
@@ -273,17 +275,13 @@ impl RunSummary {
 #[cfg(feature = "enabled")]
 mod imp {
     use std::collections::BTreeMap;
-    use std::fs::File;
-    use std::io::{BufWriter, Write};
-    use std::path::Path;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
 
     use super::{AnomalyEvent, ProgressEvent, RunSummary};
+    use crate::journal::{append, journaling};
     use crate::json::number;
 
-    static EVENTS_ON: AtomicBool = AtomicBool::new(false);
-    static EVENTS_SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
     static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
     static TALLY_ON: AtomicBool = AtomicBool::new(false);
 
@@ -305,45 +303,10 @@ mod imp {
         RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Whether a sampling-health event sink is installed.
-    #[inline]
-    pub fn events_on() -> bool {
-        EVENTS_ON.load(Ordering::Relaxed)
-    }
-
-    /// Install (or replace) the JSONL event sink at `path`.
-    pub fn set_events_path(path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        *EVENTS_SINK.lock().expect("event sink lock") = Some(BufWriter::new(file));
-        EVENTS_ON.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Install the event sink from the `TELEMETRY_EVENTS` environment
-    /// variable (a file path) if set; returns whether events are now on.
-    pub fn events_from_env() -> std::io::Result<bool> {
-        if events_on() {
-            return Ok(true);
-        }
-        match std::env::var_os("TELEMETRY_EVENTS") {
-            Some(path) if !path.is_empty() => {
-                set_events_path(path)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Flush buffered events to the sink.
-    pub fn flush_events() {
-        if let Some(w) = EVENTS_SINK.lock().expect("event sink lock").as_mut() {
-            let _ = w.flush();
-        }
-    }
-
     /// Turn on the in-process run-summary tally. Runners check this (in
-    /// addition to [`events_on`]) when deciding whether to observe
-    /// sampling health, so summaries work without a JSONL sink.
+    /// addition to [`journaling`](crate::journaling)) when deciding
+    /// whether to observe sampling health, so summaries work without a
+    /// journal.
     pub fn enable_run_summaries() {
         let mut guard = TALLY.lock().expect("tally lock");
         if guard.is_none() {
@@ -431,29 +394,23 @@ mod imp {
         *tally.anomalies.entry((e.seq, e.run.to_owned())).or_insert(0) += 1;
     }
 
-    fn write_line(line: &str) {
-        if let Some(w) = EVENTS_SINK.lock().expect("event sink lock").as_mut() {
-            let _ = writeln!(w, "{line}");
-        }
-    }
-
     pub(super) fn emit_progress(e: &ProgressEvent<'_>) {
         if run_summaries_on() {
             tally_progress(e);
         }
-        if !events_on() {
+        if !journaling() {
             return;
         }
         let config = match e.config {
             Some(c) => c.to_string(),
             None => "null".to_owned(),
         };
-        write_line(&format!(
+        append(format_args!(
             "{{\"type\":\"progress\",\"run_id\":{},\"seq\":{},\"run\":{},\"metric\":{},\
              \"t_us\":{},\"worker\":{},\"config\":{config},\"n\":{},\"mean\":{},\
              \"half_width\":{},\"rel_half_width\":{},\"target_rel_err\":{},\"eligible\":{},\
              \"rel_half_width_95\":{},\"eligible_95\":{},\"shard_points\":{},\
-             \"shard_busy_ns\":{},\"overshoot\":{}}}",
+             \"shard_busy_ns\":{},\"overshoot\":{}}}\n",
             crate::json::quote(&super::run_id(e.seq)),
             e.seq,
             crate::json::quote(e.run),
@@ -478,15 +435,15 @@ mod imp {
         if run_summaries_on() {
             tally_anomaly(e);
         }
-        if !events_on() {
+        if !journaling() {
             return;
         }
         let kinds: Vec<String> = e.kinds.iter().map(|k| crate::json::quote(k)).collect();
-        write_line(&format!(
+        append(format_args!(
             "{{\"type\":\"anomaly\",\"run_id\":{},\"seq\":{},\"run\":{},\"t_us\":{},\
              \"worker\":{},\"point\":{},\"detail_start\":{},\"measure_start\":{},\
              \"kinds\":[{}],\"cpi\":{},\"mean\":{},\"std_dev\":{},\"sigmas\":{},\
-             \"decode_ns\":{},\"simulate_ns\":{}}}",
+             \"decode_ns\":{},\"simulate_ns\":{}}}\n",
             crate::json::quote(&super::run_id(e.seq)),
             e.seq,
             crate::json::quote(e.run),
@@ -506,11 +463,11 @@ mod imp {
     }
 
     pub(super) fn emit_checkpoint(e: &super::CheckpointEvent<'_>) {
-        if !events_on() {
+        if !journaling() {
             return;
         }
-        write_line(&format!(
-            "{{\"type\":\"checkpoint\",\"t_us\":{},\"path\":{},\"points\":{}}}",
+        append(format_args!(
+            "{{\"type\":\"checkpoint\",\"t_us\":{},\"path\":{},\"points\":{}}}\n",
             crate::span::now_us(),
             crate::json::quote(e.path),
             e.points,
@@ -520,28 +477,7 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use std::path::Path;
-
     use super::{AnomalyEvent, ProgressEvent, RunSummary};
-
-    /// Always false (telemetry compiled out).
-    #[inline(always)]
-    pub fn events_on() -> bool {
-        false
-    }
-
-    /// No-op (telemetry compiled out).
-    pub fn set_events_path(_path: impl AsRef<Path>) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    /// Always `Ok(false)`.
-    pub fn events_from_env() -> std::io::Result<bool> {
-        Ok(false)
-    }
-
-    /// No-op.
-    pub fn flush_events() {}
 
     /// Always 0 (telemetry compiled out; no events carry it anywhere).
     #[inline(always)]
@@ -573,24 +509,13 @@ mod imp {
     pub(super) fn emit_checkpoint(_e: &super::CheckpointEvent<'_>) {}
 }
 
-pub use imp::{
-    enable_run_summaries, events_from_env, events_on, flush_events, next_run_seq, run_summaries_on,
-    set_events_path, take_run_summaries,
-};
+pub use imp::{enable_run_summaries, next_run_seq, run_summaries_on, take_run_summaries};
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
+    use crate::journal::{exclusive, flush_journal, journaling, set_journal_path};
     use crate::json::JsonValue;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The event sink and the run-summary tally are process-global:
-    /// tests that emit into them hold this lock so concurrent tests
-    /// never see each other's records.
-    fn exclusive_sinks() -> MutexGuard<'static, ()> {
-        static SINKS: Mutex<()> = Mutex::new(());
-        SINKS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     fn sample_progress<'a>() -> ProgressEvent<'a> {
         ProgressEvent {
@@ -615,11 +540,11 @@ mod tests {
 
     #[test]
     fn events_round_trip_as_json_lines() {
-        let _sinks = exclusive_sinks();
+        let _journal = exclusive();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("spectral_events_test_{}.jsonl", std::process::id()));
-        set_events_path(&path).expect("temp event sink");
-        assert!(events_on());
+        set_journal_path(&path).expect("temp journal");
+        assert!(journaling());
 
         sample_progress().emit();
         ProgressEvent { config: Some(2), metric: "delta_cpi", ..sample_progress() }.emit();
@@ -641,7 +566,7 @@ mod tests {
         .emit();
         // Non-finite CI fields must degrade to valid JSON numbers.
         ProgressEvent { rel_half_width: f64::INFINITY, mean: f64::NAN, ..sample_progress() }.emit();
-        flush_events();
+        flush_journal();
 
         let text = std::fs::read_to_string(&path).expect("read events back");
         let lines: Vec<&str> = text.lines().collect();
@@ -685,7 +610,7 @@ mod tests {
 
     #[test]
     fn run_summary_tally_distills_the_progress_stream() {
-        let _sinks = exclusive_sinks();
+        let _journal = exclusive();
         enable_run_summaries();
         assert!(run_summaries_on());
         let _ = take_run_summaries(); // start from a clean tally

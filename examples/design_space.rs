@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release --example design_space [benchmark-name] [--threads T]
-//!     [--metrics-out PATH] [--trace PATH]
+//!     [--metrics-out PATH] [--journal PATH]
 //! ```
 //!
 //! One live-point library answers every design question in a single
@@ -13,7 +13,8 @@
 //! simulates it under the baseline and every candidate, and — because
 //! all configurations see exactly the same points — yields matched-pair
 //! comparisons against the baseline by construction. `--metrics-out`
-//! writes a run manifest; `--trace` appends span events as JSONL.
+//! writes a run manifest; `--journal` writes the run journal
+//! (span, health and profile records as JSONL).
 
 use std::error::Error;
 use std::time::Instant;
@@ -36,13 +37,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             "--metrics-out" => {
                 metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
             }
-            "--trace" => {
-                telemetry::set_trace_path(it.next().ok_or("--trace needs a path")?)?;
+            "--journal" => {
+                telemetry::set_journal_path(it.next().ok_or("--journal needs a path")?)?;
             }
             _ => name = a,
         }
     }
-    telemetry::trace_from_env()?;
+    telemetry::journal_from_env()?;
     let threads = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
 
@@ -131,10 +132,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("every candidate was measured on the same decoded points — matched pairs by");
     println!("construction, and each record's decompress+decode cost paid once (§6.2).");
 
+    // Flushed before the fallible writes below, so a failure there
+    // keeps every journal record.
+    telemetry::flush_journal();
     if let Some(path) = metrics_out {
         manifest.write(&path, Some(&telemetry::snapshot()))?;
         println!("run manifest written to {path}");
     }
-    telemetry::flush_trace();
     Ok(())
 }

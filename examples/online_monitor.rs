@@ -11,14 +11,15 @@
 //! enough to spot gross performance regressions. To show that, the
 //! monitor also runs a deliberately mis-configured machine and flags it.
 //!
-//! The run also demonstrates the sampling-health event stream: it
-//! installs an `--events`-style sink, and afterwards replays the
-//! `progress` and `anomaly` records a live dashboard (or
-//! `spectral-doctor`) would consume.
+//! The run also demonstrates the run journal: it installs one, as
+//! `--journal` does, and afterwards replays the `progress` and
+//! `anomaly` records a live dashboard (or `spectral-doctor`) would
+//! consume.
 
 use std::error::Error;
 
 use spectral::core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
+use spectral::telemetry::JsonValue;
 use spectral::uarch::MachineConfig;
 use spectral::workloads::by_name;
 
@@ -32,10 +33,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     let config = CreationConfig::for_machine(&machine).with_sample_size(400);
     let library = LivePointLibrary::create(&program, &config)?;
 
-    // Install a sampling-health event sink: every merge stride appends
-    // a JSONL progress record, every outlier point an anomaly record.
-    let events_path = std::env::temp_dir().join("online_monitor_events.jsonl");
-    spectral::telemetry::set_events_path(&events_path)?;
+    // Install a run journal: every merge stride appends a JSONL
+    // progress record, every outlier point an anomaly record, beside
+    // the run's span and profile records.
+    let journal_path = std::env::temp_dir().join("online_monitor_journal.jsonl");
+    spectral::telemetry::set_journal_path(&journal_path)?;
 
     // Fine-grained trajectory = the "online monitor" feed.
     let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 25, ..RunPolicy::default() };
@@ -69,13 +71,20 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     );
 
-    // Replay the event stream the runs just emitted — the same feed a
-    // live dashboard would tail, and what `spectral-doctor` diagnoses.
-    spectral::telemetry::flush_events();
-    let text = std::fs::read_to_string(&events_path)?;
-    let (progress, anomalies): (Vec<&str>, Vec<&str>) =
-        text.lines().filter(|l| !l.is_empty()).partition(|l| l.contains("\"type\":\"progress\""));
-    println!("\nsampling-health event stream ({}):", events_path.display());
+    // Replay the health records the runs just journaled — the same feed
+    // a live dashboard would tail, and what `spectral-doctor` diagnoses.
+    spectral::telemetry::flush_journal();
+    let text = std::fs::read_to_string(&journal_path)?;
+    let of_type = |ty: &str| -> Vec<&str> {
+        text.lines()
+            .filter(|l| {
+                JsonValue::parse(l)
+                    .is_ok_and(|doc| doc.get("type").and_then(JsonValue::as_str) == Some(ty))
+            })
+            .collect()
+    };
+    let (progress, anomalies) = (of_type("progress"), of_type("anomaly"));
+    println!("\nsampling-health records in the run journal ({}):", journal_path.display());
     println!("  {} progress records, {} anomaly records", progress.len(), anomalies.len());
     for line in progress.iter().take(3) {
         println!("  {line}");
@@ -83,7 +92,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(line) = anomalies.first() {
         println!("  {line}");
     }
-    println!("  diagnose with: spectral-doctor analyze --events {}", events_path.display());
-    println!("  watch live   : spectral-doctor watch --events {} --once", events_path.display());
+    println!("  diagnose with: spectral-doctor analyze --journal {}", journal_path.display());
+    println!("  watch live   : spectral-doctor watch --journal {} --once", journal_path.display());
     Ok(())
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --example parallel_farm [benchmark-name] [--threads T]
-//!     [--chunk N] [--prefetch N] [--metrics-out PATH] [--trace PATH]
+//!     [--chunk N] [--prefetch N] [--metrics-out PATH] [--journal PATH]
 //! ```
 //!
 //! The same shuffled library is processed serially and with 2–8 worker
@@ -17,8 +17,8 @@
 //! `--chunk`/`--prefetch` tune the scheduler's chunk size and
 //! decode-ahead depth; `--metrics-out` writes a run manifest (phases,
 //! points, estimate, embedded metrics snapshot — including the
-//! `core.sched.*` steal/occupancy metrics); `--trace` appends span
-//! events as JSONL.
+//! `core.sched.*` steal/occupancy metrics); `--journal` writes the
+//! run journal (span, health and profile records as JSONL).
 
 use std::error::Error;
 use std::time::Instant;
@@ -49,13 +49,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             "--metrics-out" => {
                 metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
             }
-            "--trace" => {
-                telemetry::set_trace_path(it.next().ok_or("--trace needs a path")?)?;
+            "--journal" => {
+                telemetry::set_journal_path(it.next().ok_or("--journal needs a path")?)?;
             }
             _ => name = a,
         }
     }
-    telemetry::trace_from_env()?;
+    telemetry::journal_from_env()?;
     // When SPECTRAL_REGISTRY names a registry, tally convergence
     // summaries in-process so the appended record carries them.
     let registry = spectral::registry::Registry::from_env()?;
@@ -140,6 +140,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     manifest.run_id =
         Some(telemetry::derive_run_id(&manifest.to_json(), telemetry::next_run_seq()));
+    // Flushed before the fallible writes below, so a failure there
+    // keeps every journal record.
+    telemetry::flush_journal();
     if let Some(path) = metrics_out {
         manifest.write(&path, Some(&telemetry::snapshot()))?;
         println!("run manifest written to {path}");
@@ -150,6 +153,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         registry.append(&record)?;
         println!("run record appended to {}", registry.dir().display());
     }
-    telemetry::flush_trace();
     Ok(())
 }
