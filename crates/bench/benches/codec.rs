@@ -1,10 +1,29 @@
 //! Codec throughput: the paper claims ASN.1 DER + gzip "incur minimal
 //! storage and processing time overhead" (§3). These benches quantify
-//! our DER subset and LZSS stand-in on a real live-point payload.
+//! our DER subset and LZSS stand-in on a real live-point payload, plain
+//! and against a v2 block's shared dictionary.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use spectral_bench::{fixture_benchmark, fixture_library};
 use spectral_codec::{lzss, DerReader, DerWriter};
+use spectral_core::V2WriteOptions;
+
+/// The shared dictionary `save_v2` builds for one block under default
+/// options: prefixes of `dict_samples` evenly spaced records, each at
+/// most `dict_cap / dict_samples` bytes, capped at `dict_cap`.
+fn block_dictionary(block: &[Vec<u8>]) -> Vec<u8> {
+    let opts = V2WriteOptions::default();
+    let samples = opts.dict_samples.min(block.len());
+    let per = (opts.dict_cap / samples).max(1);
+    let mut dict: Vec<u8> = (0..samples)
+        .flat_map(|k| {
+            let der = &block[k * block.len() / samples];
+            der[..per.min(der.len())].iter().copied()
+        })
+        .collect();
+    dict.truncate(opts.dict_cap);
+    dict
+}
 
 fn bench_codec(c: &mut Criterion) {
     let program = fixture_benchmark().build();
@@ -22,6 +41,27 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.bench_function("lzss_decompress_livepoint", |b| {
         b.iter(|| lzss::decompress(&compressed).expect("roundtrip"));
+    });
+
+    // One full 64-record block of gcc-like points; the timed record is
+    // one the dictionary did not sample, like 60 of every 64 records in
+    // a saved library.
+    let block_points = V2WriteOptions::default().block_points;
+    let gcc = spectral_workloads::by_name("gcc-like").expect("suite benchmark").build();
+    let block_library = fixture_library(&gcc, block_points as u64);
+    let block: Vec<Vec<u8>> =
+        (0..block_points).map(|i| block_library.get(i).expect("decode").to_der()).collect();
+    let dict = block_dictionary(&block);
+    let record = &block[1];
+    let mut scratch = lzss::CompressScratch::new();
+    let primed = lzss::compress_with_dict(&mut scratch, &dict, record);
+    let mut out = Vec::new();
+    group.throughput(Throughput::Bytes(record.len() as u64));
+    group.bench_function("lzss_compress_with_dict_livepoint", |b| {
+        b.iter(|| lzss::compress_with_dict(&mut scratch, &dict, record));
+    });
+    group.bench_function("lzss_decompress_with_dict_livepoint", |b| {
+        b.iter(|| lzss::decompress_into_with_dict(&dict, &primed, &mut out).expect("roundtrip"));
     });
     group.finish();
 

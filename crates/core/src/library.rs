@@ -845,10 +845,18 @@ impl LivePointLibrary {
     /// [`V2WriteOptions::block_points`] records is recompressed against
     /// a dictionary sampled from the block's own records.
     ///
+    /// Dictionary blocks are independent, so they are compressed in
+    /// parallel: one worker per available core (at most one per block)
+    /// claims blocks in turn, and the calling thread writes finished
+    /// blocks in block order. At most two blocks per worker are in
+    /// flight. The bytes written do not depend on the worker count. On
+    /// the first worker or write error the other workers stop and that
+    /// error is returned.
+    ///
     /// The container streams into a temp sibling and is fsynced and
     /// renamed into place only after a complete, CRC-consistent write
     /// (fault site `library.v2.save`), so a crash mid-save never leaves
-    /// a torn container at `path`.
+    /// a torn container at `path`; a failed save removes the temp file.
     ///
     /// # Errors
     ///
@@ -888,26 +896,115 @@ impl LivePointLibrary {
                 Ok(())
             })?;
         } else {
-            let n = self.len();
-            let block_points = opts.block_points.max(1);
-            let mut dec = DecodeScratch::new();
-            let mut scratch = lzss::CompressScratch::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + block_points).min(n);
-                let sw = Stopwatch::start();
-                let dict = self.sample_dict(start, end, opts, &mut dec)?;
-                let dict_comp = if dict.is_empty() { Vec::new() } else { lzss::compress(&dict) };
-                TLM_DICT_BUILD_NS.add(sw.ns());
-                w.begin_block(&dict_comp)?;
-                for i in start..end {
-                    self.decompress_record_into(i, &mut dec)?;
-                    w.push_record(&lzss::compress_with_dict(&mut scratch, &dict, &dec.der))?;
-                }
-                start = end;
-            }
+            self.write_dict_blocks(opts, &mut w)?;
         }
         Ok(w.finish()?)
+    }
+
+    /// Compress the dictionary blocks on worker threads and write them
+    /// to `w` in block order through a bounded reorder buffer. A worker
+    /// claims block `b` only once fewer than `2 × workers` blocks
+    /// separate it from the next block to write, which bounds the
+    /// finished blocks held in memory.
+    fn write_dict_blocks<W: std::io::Write>(
+        &self,
+        opts: &V2WriteOptions,
+        w: &mut paged::PagedWriter<W>,
+    ) -> Result<(), CoreError> {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        let n = self.len();
+        let block_points = opts.block_points.max(1);
+        let blocks = n.div_ceil(block_points);
+        let workers =
+            std::thread::available_parallelism().map_or(1, |c| c.get()).min(blocks).max(1);
+        let window = 2 * workers;
+        // `claim` and `stop` publish no other data (blocks travel over the
+        // channel), so relaxed ordering suffices.
+        let claim = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        // Blocks written so far; workers wait on `advanced` to stay in
+        // the window.
+        let written = Mutex::new(0usize);
+        let advanced = std::sync::Condvar::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (claim, stop, written, advanced) = (&claim, &stop, &written, &advanced);
+                scope.spawn(move || {
+                    let mut dec = DecodeScratch::new();
+                    let mut scratch = lzss::CompressScratch::new();
+                    loop {
+                        let b = claim.fetch_add(1, Ordering::Relaxed);
+                        if b >= blocks {
+                            break;
+                        }
+                        let mut done = written.lock().expect("written lock");
+                        while b >= *done + window && !stop.load(Ordering::Relaxed) {
+                            done = advanced.wait(done).expect("written lock");
+                        }
+                        drop(done);
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let start = b * block_points;
+                        let end = (start + block_points).min(n);
+                        let block = self.compress_block(start, end, opts, &mut dec, &mut scratch);
+                        let failed = block.is_err();
+                        if tx.send((b, block)).is_err() || failed {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let mut pending = BTreeMap::new();
+            let mut next = 0;
+            let result = rx.iter().try_for_each(|(b, block)| {
+                pending.insert(b, block?);
+                while let Some((dict_comp, records)) = pending.remove(&next) {
+                    w.begin_block(&dict_comp)?;
+                    for rec in &records {
+                        w.push_record(rec)?;
+                    }
+                    next += 1;
+                    *written.lock().expect("written lock") = next;
+                    advanced.notify_all();
+                }
+                Ok::<(), CoreError>(())
+            });
+            if result.is_err() {
+                stop.store(true, Ordering::Relaxed);
+                let _guard = written.lock().expect("written lock");
+                advanced.notify_all();
+            }
+            result
+        })
+    }
+
+    /// Build block `[start, end)`'s shared dictionary and recompress its
+    /// records against it, returning the compressed dictionary and the
+    /// compressed records.
+    fn compress_block(
+        &self,
+        start: usize,
+        end: usize,
+        opts: &V2WriteOptions,
+        dec: &mut DecodeScratch,
+        scratch: &mut lzss::CompressScratch,
+    ) -> Result<(Vec<u8>, Vec<Vec<u8>>), CoreError> {
+        let sw = Stopwatch::start();
+        let dict = self.sample_dict(start, end, opts, dec)?;
+        let dict_comp =
+            if dict.is_empty() { Vec::new() } else { lzss::compress_with(scratch, &dict) };
+        TLM_DICT_BUILD_NS.add(sw.ns());
+        let mut records = Vec::with_capacity(end - start);
+        for i in start..end {
+            self.decompress_record_into(i, dec)?;
+            records.push(lzss::compress_with_dict(scratch, &dict, &dec.der));
+        }
+        Ok((dict_comp, records))
     }
 
     /// Build a shared dictionary for records `[start, end)` by

@@ -10,7 +10,8 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use spectral_core::{CreationConfig, LivePointLibrary, V2WriteOptions};
+use spectral_codec::CodecError;
+use spectral_core::{CoreError, CreationConfig, LivePointLibrary, V2WriteOptions};
 use spectral_uarch::MachineConfig;
 use spectral_workloads::tiny;
 
@@ -108,5 +109,33 @@ proptest! {
                 (Err(_), Ok(_)) => prop_assert!(false, "pristine decode failed"),
             }
         }
+    }
+}
+
+#[test]
+fn save_v2_of_a_corrupt_record_fails_typed_and_leaves_no_file() {
+    // Flip one byte of one record body (the middle of the file holds
+    // record bodies): exactly that record fails its CRC on read.
+    let mut corrupt = v2_bytes().to_vec();
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0x5A;
+    let broken = LivePointLibrary::from_bytes(&corrupt).expect("footer intact");
+    let failing = (0..broken.len()).filter(|&i| broken.get(i).is_err()).count();
+    assert_eq!(failing, 1, "the flip must hit exactly one record body");
+
+    let dest =
+        std::env::temp_dir().join(format!("spectral_corrupt_resave_{}.splp", std::process::id()));
+    let mut tmp = dest.clone().into_os_string();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    // One block on one worker, and many small blocks across workers.
+    for block_points in [64, 2] {
+        let opts = V2WriteOptions { block_points, ..V2WriteOptions::default() };
+        let err = broken.save_v2(&dest, &opts).expect_err("corrupt record must fail the save");
+        assert!(
+            matches!(err, CoreError::Codec(CodecError::CrcMismatch { .. })),
+            "block_points {block_points}: expected a CRC mismatch, got {err:?}"
+        );
+        assert!(!dest.exists(), "a failed save left a file at the destination");
+        assert!(!std::path::Path::new(&tmp).exists(), "a failed save left its temp sibling");
     }
 }

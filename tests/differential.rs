@@ -74,6 +74,9 @@ const GOLDEN_RUN_VARIANCE_BITS: u64 = 0x3FC3_97E7_F208_43C1;
 const GOLDEN_RUN_PROCESSED: usize = 24;
 const GOLDEN_SWEEP_MEAN_BITS: [u64; 3] =
     [0x3FE0_DD2F_1A9F_BE77, 0x3FE2_3078_263A_B597, 0x3FE2_06D3_A06D_3A07];
+// Stored content hash of the same library saved as v2 with default
+// options (one 64-point block, shared LZSS dictionary).
+const GOLDEN_V2_DICT_HASH: u32 = 0xAA1C_79C5;
 
 fn print_mode() -> bool {
     std::env::var_os("SPECTRAL_DIFF_PRINT").is_some()
@@ -244,6 +247,38 @@ fn v2_container_preserves_the_content_hash_golden() {
     assert_eq!(paged.format_version(), 2);
     assert_eq!(paged.content_hash(), GOLDEN_CONTENT_HASH, "v2 reopened hash drifted");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn v2_dictionary_bytes_are_bit_identical() {
+    // Dictionary-compressed record bodies are pinned by the stored
+    // hash. Re-saving the reopened paged library decodes every record
+    // against its dictionary and recompresses it block by block, so it
+    // must reproduce the same bytes — also from a file whose blocks
+    // were laid out differently.
+    let (_, library) = setup();
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let first = dir.join(format!("spectral_diff_v2h_{pid}.splp"));
+    let summary = library.save_v2(&first, &V2WriteOptions::default()).expect("save v2 dict");
+    if print_mode() {
+        println!("const GOLDEN_V2_DICT_HASH: u32 = 0x{:08X};", summary.content_hash);
+        std::fs::remove_file(&first).ok();
+        return;
+    }
+    assert_eq!(summary.content_hash, GOLDEN_V2_DICT_HASH, "v2 dictionary bytes changed");
+    let small_blocks = dir.join(format!("spectral_diff_v2s_{pid}.splp"));
+    let opts = V2WriteOptions { block_points: 5, ..V2WriteOptions::default() };
+    library.save_v2(&small_blocks, &opts).expect("save v2 small blocks");
+    let resaved = dir.join(format!("spectral_diff_v2rs_{pid}.splp"));
+    for source in [&first, &small_blocks] {
+        let paged = LivePointLibrary::open(source).expect("open v2");
+        let again = paged.save_v2(&resaved, &V2WriteOptions::default()).expect("re-save v2");
+        assert_eq!(again.content_hash, GOLDEN_V2_DICT_HASH, "re-saved dictionary bytes drifted");
+    }
+    for path in [first, small_blocks, resaved] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]
