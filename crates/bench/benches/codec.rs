@@ -8,21 +8,18 @@ use spectral_bench::{fixture_benchmark, fixture_library};
 use spectral_codec::{lzss, DerReader, DerWriter};
 use spectral_core::V2WriteOptions;
 
-/// The shared dictionary `save_v2` builds for one block under default
-/// options: prefixes of `dict_samples` evenly spaced records, each at
-/// most `dict_cap / dict_samples` bytes, capped at `dict_cap`.
+/// The shared dictionary `save_v2` builds for one block: prefixes of
+/// `DICT_SAMPLES` evenly spaced records, each at most
+/// `DICT_CAP / DICT_SAMPLES` bytes.
 fn block_dictionary(block: &[Vec<u8>]) -> Vec<u8> {
-    let opts = V2WriteOptions::default();
-    let samples = opts.dict_samples.min(block.len());
-    let per = (opts.dict_cap / samples).max(1);
-    let mut dict: Vec<u8> = (0..samples)
+    let samples = V2WriteOptions::DICT_SAMPLES.min(block.len());
+    let per = V2WriteOptions::DICT_CAP / samples;
+    (0..samples)
         .flat_map(|k| {
             let der = &block[k * block.len() / samples];
             der[..per.min(der.len())].iter().copied()
         })
-        .collect();
-    dict.truncate(opts.dict_cap);
-    dict
+        .collect()
 }
 
 fn bench_codec(c: &mut Criterion) {

@@ -27,11 +27,11 @@
 //! has no dictionary and its records are plain [`lzss::compress`]
 //! streams — byte-identical to their v1 framing, which makes
 //! v1 ↔ v2-without-dictionaries conversion a pure re-framing (no
-//! decompression) and lets `merge` operate at the index level.
+//! decompression).
 //!
-//! The writer is purely streaming (`io::Write`, no seeks): shards can
-//! append blocks as they are produced and a stitch pass only rewrites
-//! the footer. `content_hash` is the CRC32 of the record bodies in
+//! The writer is purely streaming (`io::Write`, no seeks): blocks are
+//! appended as they are produced and the footer is written last.
+//! `content_hash` is the CRC32 of the record bodies in
 //! stored order — for dictionary-less files this equals the v1 library
 //! content hash.
 
@@ -252,9 +252,8 @@ pub struct V2Summary {
 
 /// Streaming v2 writer: header and metadata up front, then blocks and
 /// records in arrival order, footer + trailer on
-/// [`finish`](Self::finish). Never seeks, so shards can stream blocks
-/// straight to disk and a merge stitch pass can raw-copy bodies from
-/// other containers.
+/// [`finish`](Self::finish). Never seeks, so blocks stream straight to
+/// disk as they are produced.
 #[derive(Debug)]
 pub struct PagedWriter<W: Write> {
     w: W,
@@ -263,7 +262,6 @@ pub struct PagedWriter<W: Write> {
     records: Vec<RecordEntry>,
     record_bytes: u64,
     hash: crc32::Hasher,
-    open_block: bool,
 }
 
 impl<W: Write> PagedWriter<W> {
@@ -288,7 +286,6 @@ impl<W: Write> PagedWriter<W> {
             records: Vec::new(),
             record_bytes: 0,
             hash: crc32::Hasher::new(),
-            open_block: false,
         })
     }
 
@@ -311,7 +308,6 @@ impl<W: Write> PagedWriter<W> {
             self.offset += dict_compressed.len() as u64;
         }
         self.blocks.push(entry);
-        self.open_block = true;
         Ok(())
     }
 
@@ -325,30 +321,10 @@ impl<W: Write> PagedWriter<W> {
     ///
     /// Propagates writer I/O errors.
     pub fn push_record(&mut self, compressed: &[u8]) -> io::Result<()> {
-        if !self.open_block {
+        if self.blocks.is_empty() {
             self.begin_block(&[])?;
         }
         let block = (self.blocks.len() - 1) as u32;
-        self.push_record_in_block(compressed, block)
-    }
-
-    /// Append one record body tied to an explicit, already-written block.
-    /// This is the merge primitive: dictionaries from every input are
-    /// written up front (one [`begin_block`](Self::begin_block) each) and
-    /// record bodies then arrive in shuffled order, each pointing back at
-    /// its original dictionary.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] when `block` does not name a
-    /// written block; otherwise propagates writer I/O errors.
-    pub fn push_record_in_block(&mut self, compressed: &[u8], block: u32) -> io::Result<()> {
-        if block as usize >= self.blocks.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("block {block} not yet written ({} blocks)", self.blocks.len()),
-            ));
-        }
         self.w.write_all(compressed)?;
         self.hash.update(compressed);
         self.records.push(RecordEntry {
@@ -360,16 +336,6 @@ impl<W: Write> PagedWriter<W> {
         self.offset += compressed.len() as u64;
         self.record_bytes += compressed.len() as u64;
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records have been written.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Write the footer and trailer and flush.

@@ -12,12 +12,12 @@
 //!   by a user-selected maximum geometry, and one branch-predictor
 //!   snapshot per selected predictor configuration,
 //! * [`LivePointLibrary`] — creation (one functional pass per
-//!   benchmark, optionally streamed straight to disk), shuffling, and
+//!   benchmark, with DER encoding and LZSS compression fanned out over
+//!   workers), shuffling, merging ([`LivePointLibrary::merge`]), and
 //!   two container formats: the single-compressed-stream v1 file the
 //!   paper recommends (§6.1) and the paged v2 file whose open reads
 //!   only a footer index and whose point reads are O(1) positioned
-//!   reads, with block-shared LZSS dictionaries and index-level merge
-//!   ([`LivePointLibrary::merge_files`]),
+//!   reads, with block-shared LZSS dictionaries,
 //! * [`OnlineRunner`] — random-order processing with online confidence:
 //!   results and their confidence are available *while the simulation
 //!   runs*, and the run stops as soon as the target confidence is met

@@ -152,6 +152,47 @@ struct PagedSource {
 }
 
 impl PagedSource {
+    /// Parse a v2 container over `source`: header, metadata and footer
+    /// index only; no record is read or decompressed. Returns the
+    /// library metadata alongside the source.
+    fn open(source: Source, file_len: u64) -> Result<(LibraryMeta, Self), CoreError> {
+        let sw = Stopwatch::start();
+        if file_len < (paged::V2_HEADER_LEN + paged::V2_TRAILER_LEN) as u64 {
+            return Err(CodecError::Truncated.into());
+        }
+        let mut prefix = [0u8; paged::V2_HEADER_LEN];
+        source.read_exact_at(&mut prefix, 0)?;
+        let header = paged::parse_v2_header(&prefix)?;
+        let meta_end = paged::V2_HEADER_LEN as u64 + u64::from(header.meta_len);
+        if meta_end + paged::V2_TRAILER_LEN as u64 > file_len {
+            return Err(CodecError::Truncated.into());
+        }
+        let mut meta_bytes = vec![0u8; header.meta_len as usize];
+        source.read_exact_at(&mut meta_bytes, paged::V2_HEADER_LEN as u64)?;
+        let meta = parse_meta_der(&paged::decode_v2_meta(&header, &meta_bytes)?)?;
+        let mut tail = [0u8; paged::V2_TRAILER_LEN];
+        source.read_exact_at(&mut tail, file_len - paged::V2_TRAILER_LEN as u64)?;
+        let trailer = paged::parse_v2_trailer(&tail, file_len)?;
+        if trailer.footer_offset < meta_end {
+            return Err(CodecError::BadFooter.into());
+        }
+        let mut footer = vec![0u8; trailer.footer_len as usize];
+        source.read_exact_at(&mut footer, trailer.footer_offset)?;
+        let (blocks, records) = paged::parse_v2_footer(&footer, &trailer, meta_end)?;
+        let p = PagedSource {
+            source,
+            record_bytes: records.iter().map(|r| u64::from(r.len)).sum(),
+            dicts: blocks.iter().map(|_| Mutex::new(None)).collect(),
+            blocks,
+            records,
+            stored_hash: trailer.content_hash,
+            file_bytes: file_len,
+        };
+        TLM_OPEN_NS.add(sw.ns());
+        TLM_OPENS.inc();
+        Ok((meta, p))
+    }
+
     /// Positioned read + CRC check of stored record `stored` into `buf`.
     fn read_record(&self, stored: usize, buf: &mut Vec<u8>) -> Result<(), CoreError> {
         let e = &self.records[stored];
@@ -165,31 +206,23 @@ impl PagedSource {
         Ok(())
     }
 
-    /// Positioned read + CRC check of block `block`'s compressed
-    /// dictionary bytes (which may be raw-copied into a merged file
-    /// without decompression).
-    fn read_dict_raw(&self, block: usize, buf: &mut Vec<u8>) -> Result<(), CoreError> {
-        let b = &self.blocks[block];
-        buf.resize(b.dict_len as usize, 0);
-        self.source.read_exact_at(buf, b.dict_offset)?;
-        if crc32::checksum(buf) != b.dict_crc {
-            return Err(CodecError::CrcMismatch { frame: block }.into());
-        }
-        Ok(())
-    }
-
     /// The decompressed shared dictionary for `block`, or `None` for a
-    /// dictionary-less block. Decompressed once and cached; concurrent
-    /// first uses may race benignly (last write wins, values identical).
+    /// dictionary-less block. Read (CRC-checked) and decompressed once,
+    /// then cached; concurrent first uses may race benignly (last write
+    /// wins, values identical).
     fn dict(&self, block: usize) -> Result<Option<Arc<Vec<u8>>>, CoreError> {
-        if self.blocks[block].dict_len == 0 {
+        let b = &self.blocks[block];
+        if b.dict_len == 0 {
             return Ok(None);
         }
         if let Some(d) = self.dicts[block].lock().expect("dict lock").as_ref() {
             return Ok(Some(d.clone()));
         }
-        let mut raw = Vec::new();
-        self.read_dict_raw(block, &mut raw)?;
+        let mut raw = vec![0u8; b.dict_len as usize];
+        self.source.read_exact_at(&mut raw, b.dict_offset)?;
+        if crc32::checksum(&raw) != b.dict_crc {
+            return Err(CodecError::CrcMismatch { frame: block }.into());
+        }
         let dict = Arc::new(lzss::decompress(&raw)?);
         *self.dicts[block].lock().expect("dict lock") = Some(dict.clone());
         Ok(Some(dict))
@@ -197,7 +230,8 @@ impl PagedSource {
 }
 
 /// The two record backings: all compressed records resident (v1 load,
-/// fresh creation) or a footer-indexed file read on demand (v2 open).
+/// fresh creation, merge) or a footer-indexed file read on demand (v2
+/// open).
 #[derive(Debug, Clone)]
 enum Backing {
     /// LZSS-compressed DER live-points, in shuffled processing order.
@@ -216,15 +250,18 @@ pub struct V2WriteOptions {
     /// conversion is a pure re-framing (no decompression) and the v2
     /// content hash equals the v1 content hash.
     pub dict: bool,
+}
+
+impl V2WriteOptions {
     /// Maximum dictionary size in bytes (decompressed).
-    pub dict_cap: usize,
+    pub const DICT_CAP: usize = 16 * 1024;
     /// Records sampled (evenly spaced) per block to seed the dictionary.
-    pub dict_samples: usize,
+    pub const DICT_SAMPLES: usize = 4;
 }
 
 impl Default for V2WriteOptions {
     fn default() -> Self {
-        V2WriteOptions { block_points: 64, dict: true, dict_cap: 16 * 1024, dict_samples: 4 }
+        V2WriteOptions { block_points: 64, dict: true }
     }
 }
 
@@ -386,117 +423,6 @@ impl LivePointLibrary {
             Self::from_records(program.name().to_owned(), cfg.scope, cfg.max_hierarchy, records);
         lib.shuffle(cfg.seed ^ 0x0F1E_2D3C);
         Ok(lib)
-    }
-
-    /// Create a library directly on disk as a v2 paged container:
-    /// records stream to a spool file as the warming walk produces them
-    /// (nothing is held in memory), then a stitch pass raw-copies the
-    /// record bodies into shuffled order and writes the footer index —
-    /// for a dictionary-less target this performs **zero**
-    /// decompression. The processing order, decoded points, and (for
-    /// `dict: false`) the content hash are identical to
-    /// [`create_parallel`](Self::create_parallel) with the same seed.
-    ///
-    /// Returns the finished library, opened paged from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BenchmarkTooShort`] when no window fits,
-    /// plus any I/O fault (the spool file is removed on all paths).
-    pub fn create_parallel_to_path(
-        program: &Program,
-        cfg: &CreationConfig,
-        threads: usize,
-        path: impl AsRef<Path>,
-        opts: &V2WriteOptions,
-    ) -> Result<Self, CoreError> {
-        let n = benchmark_length(program);
-        let design = SystematicDesign::new(cfg.unit_len, cfg.warm_len);
-        let windows = design.windows(n, cfg.sample_size, cfg.seed);
-        Self::create_with_windows_to_path(program, cfg, &windows, threads, path, opts)
-    }
-
-    /// [`create_parallel_to_path`](Self::create_parallel_to_path) for
-    /// caller-chosen windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BenchmarkTooShort`] for an empty window
-    /// list, plus any I/O fault.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` is unsorted.
-    pub fn create_with_windows_to_path(
-        program: &Program,
-        cfg: &CreationConfig,
-        windows: &[WindowSpec],
-        threads: usize,
-        path: impl AsRef<Path>,
-        opts: &V2WriteOptions,
-    ) -> Result<Self, CoreError> {
-        if windows.is_empty() {
-            return Err(CoreError::BenchmarkTooShort);
-        }
-        assert!(
-            windows.windows(2).all(|w| w[0].end() <= w[1].detail_start),
-            "windows must be sorted and non-overlapping"
-        );
-        let path = path.as_ref();
-        let mut spool_name = path.as_os_str().to_owned();
-        spool_name.push(".spool");
-        let spool = std::path::PathBuf::from(spool_name);
-
-        let _span = spectral_telemetry::span("create.library");
-        let result = Self::spool_and_stitch(program, cfg, windows, threads, path, &spool, opts);
-        std::fs::remove_file(&spool).ok();
-        result
-    }
-
-    /// Phase 1 (spool): stream records in window order into a
-    /// dictionary-less v2 file. Phase 2 (stitch): open the spool paged,
-    /// shuffle, and re-save to `path` — a raw copy for dictionary-less
-    /// targets.
-    fn spool_and_stitch(
-        program: &Program,
-        cfg: &CreationConfig,
-        windows: &[WindowSpec],
-        threads: usize,
-        path: &Path,
-        spool: &Path,
-        opts: &V2WriteOptions,
-    ) -> Result<Self, CoreError> {
-        let meta = encode_meta_der(program.name(), cfg.scope, &cfg.max_hierarchy);
-        let file = File::create(spool)?;
-        let mut w = paged::PagedWriter::new(BufWriter::new(file), &meta)?;
-        let mut io_err: Option<std::io::Error> = None;
-        if threads <= 1 {
-            let mut scratch = lzss::CompressScratch::new();
-            walk_windows(program, cfg, windows, |_, lp| {
-                if io_err.is_some() {
-                    return;
-                }
-                let bytes = compress_record(&mut scratch, &lp);
-                if let Err(e) = w.push_record(&bytes) {
-                    io_err = Some(e);
-                }
-            });
-        } else {
-            io_err = spool_pipelined(program, cfg, windows, threads, &mut w);
-        }
-        if let Some(e) = io_err {
-            return Err(e.into());
-        }
-        if w.is_empty() {
-            return Err(CoreError::BenchmarkTooShort);
-        }
-        w.finish()?;
-
-        let mut spooled = Self::open(spool)?;
-        spooled.shuffle(cfg.seed ^ 0x0F1E_2D3C);
-        spooled.save_v2(path, opts)?;
-        drop(spooled);
-        Self::open(path)
     }
 
     /// The benchmark this library samples.
@@ -715,8 +641,9 @@ impl LivePointLibrary {
         match &mut self.backing {
             Backing::Memory(records) => records.shuffle(&mut rng),
             // Same length + same RNG stream ⇒ the same permutation the
-            // memory backing would apply, so streamed and in-memory
-            // creation agree point for point.
+            // memory backing would apply, so a library saved as v2,
+            // reopened and re-shuffled agrees point for point with the
+            // in-memory library re-shuffled with the same seed.
             Backing::Paged(_) => self.order.shuffle(&mut rng),
         }
         self.cache_hash = OnceLock::new();
@@ -725,7 +652,30 @@ impl LivePointLibrary {
     /// The library metadata payload (benchmark, scope, hierarchy
     /// bounds) as DER — the v1 meta record and the v2 metadata frame.
     fn meta_der(&self) -> Vec<u8> {
-        encode_meta_der(&self.benchmark, self.scope, &self.max_hierarchy)
+        let h = &self.max_hierarchy;
+        let mut meta = DerWriter::new();
+        meta.seq(|w| {
+            w.utf8(&self.benchmark);
+            w.u64(match self.scope {
+                StateScope::Full => 0,
+                StateScope::Restricted => 1,
+            });
+            for c in [&h.l1i, &h.l1d, &h.l2] {
+                w.seq(|w| {
+                    w.u64(c.size_bytes());
+                    w.u64(c.assoc() as u64);
+                    w.u64(c.line_bytes());
+                });
+            }
+            for t in [&h.itlb, &h.dtlb] {
+                w.seq(|w| {
+                    w.u64(t.entries() as u64);
+                    w.u64(t.assoc() as u64);
+                    w.u64(t.page_bytes());
+                });
+            }
+        });
+        meta.finish()
     }
 
     /// Visit the plain-LZSS bytes of every record in processing order.
@@ -950,7 +900,7 @@ impl LivePointLibrary {
                         }
                         let start = b * block_points;
                         let end = (start + block_points).min(n);
-                        let block = self.compress_block(start, end, opts, &mut dec, &mut scratch);
+                        let block = self.compress_block(start, end, &mut dec, &mut scratch);
                         let failed = block.is_err();
                         if tx.send((b, block)).is_err() || failed {
                             break;
@@ -990,12 +940,11 @@ impl LivePointLibrary {
         &self,
         start: usize,
         end: usize,
-        opts: &V2WriteOptions,
         dec: &mut DecodeScratch,
         scratch: &mut lzss::CompressScratch,
     ) -> Result<(Vec<u8>, Vec<Vec<u8>>), CoreError> {
         let sw = Stopwatch::start();
-        let dict = self.sample_dict(start, end, opts, dec)?;
+        let dict = self.sample_dict(start, end, dec)?;
         let dict_comp =
             if dict.is_empty() { Vec::new() } else { lzss::compress_with(scratch, &dict) };
         TLM_DICT_BUILD_NS.add(sw.ns());
@@ -1007,34 +956,28 @@ impl LivePointLibrary {
         Ok((dict_comp, records))
     }
 
-    /// Build a shared dictionary for records `[start, end)` by
-    /// concatenating prefixes of up to [`V2WriteOptions::dict_samples`]
-    /// evenly-spaced records, capped at [`V2WriteOptions::dict_cap`]
-    /// bytes. Live-point DER images within a benchmark share heavy
-    /// structure (same hierarchy geometry, overlapping warm sets), so
-    /// even a small sample primes the LZSS window well.
+    /// Build a shared dictionary for the non-empty record range
+    /// `[start, end)` by concatenating prefixes of up to
+    /// [`V2WriteOptions::DICT_SAMPLES`] evenly-spaced records, capped at
+    /// [`V2WriteOptions::DICT_CAP`] bytes. Live-point DER images within
+    /// a benchmark share heavy structure (same hierarchy geometry,
+    /// overlapping warm sets), so even a small sample primes the LZSS
+    /// window well.
     fn sample_dict(
         &self,
         start: usize,
         end: usize,
-        opts: &V2WriteOptions,
         dec: &mut DecodeScratch,
     ) -> Result<Vec<u8>, CoreError> {
+        const CAP: usize = V2WriteOptions::DICT_CAP;
         let span = end - start;
-        if span == 0 || opts.dict_cap == 0 || opts.dict_samples == 0 {
-            return Ok(Vec::new());
-        }
-        let samples = opts.dict_samples.min(span);
-        let per = (opts.dict_cap / samples).max(1);
-        let mut dict = Vec::with_capacity(opts.dict_cap.min(per * samples));
+        let samples = V2WriteOptions::DICT_SAMPLES.min(span);
+        let per = CAP / samples;
+        let mut dict = Vec::with_capacity(CAP);
         for k in 0..samples {
             let i = start + k * span / samples;
             self.decompress_record_into(i, dec)?;
             dict.extend_from_slice(&dec.der[..per.min(dec.der.len())]);
-            if dict.len() >= opts.dict_cap {
-                dict.truncate(opts.dict_cap);
-                break;
-            }
         }
         Ok(dict)
     }
@@ -1067,52 +1010,15 @@ impl LivePointLibrary {
     /// Open a v2 container over `source`: header + metadata + footer
     /// index only; no record is read or decompressed.
     fn open_paged(source: Source, file_len: u64) -> Result<Self, CoreError> {
-        let sw = Stopwatch::start();
-        if file_len < (paged::V2_HEADER_LEN + paged::V2_TRAILER_LEN) as u64 {
-            return Err(CodecError::Truncated.into());
-        }
-        let mut prefix = [0u8; paged::V2_HEADER_LEN];
-        source.read_exact_at(&mut prefix, 0)?;
-        let header = paged::parse_v2_header(&prefix)?;
-        let meta_end = paged::V2_HEADER_LEN as u64 + u64::from(header.meta_len);
-        if meta_end + paged::V2_TRAILER_LEN as u64 > file_len {
-            return Err(CodecError::Truncated.into());
-        }
-        let mut meta_bytes = vec![0u8; header.meta_len as usize];
-        source.read_exact_at(&mut meta_bytes, paged::V2_HEADER_LEN as u64)?;
-        let meta_der = paged::decode_v2_meta(&header, &meta_bytes)?;
-        let (benchmark, scope, max_hierarchy) = parse_meta_der(&meta_der)?;
-        let mut tail = [0u8; paged::V2_TRAILER_LEN];
-        source.read_exact_at(&mut tail, file_len - paged::V2_TRAILER_LEN as u64)?;
-        let trailer = paged::parse_v2_trailer(&tail, file_len)?;
-        if trailer.footer_offset < meta_end {
-            return Err(CodecError::BadFooter.into());
-        }
-        let mut footer = vec![0u8; trailer.footer_len as usize];
-        source.read_exact_at(&mut footer, trailer.footer_offset)?;
-        let (blocks, records) = paged::parse_v2_footer(&footer, &trailer, meta_end)?;
-        let record_bytes = records.iter().map(|r| u64::from(r.len)).sum();
-        let dicts = blocks.iter().map(|_| Mutex::new(None)).collect();
-        let order = (0..records.len() as u32).collect();
-        let lib = LivePointLibrary {
+        let ((benchmark, scope, max_hierarchy), p) = PagedSource::open(source, file_len)?;
+        Ok(LivePointLibrary {
             benchmark,
             scope,
             max_hierarchy,
-            backing: Backing::Paged(Arc::new(PagedSource {
-                source,
-                blocks,
-                records,
-                stored_hash: trailer.content_hash,
-                record_bytes,
-                file_bytes: file_len,
-                dicts,
-            })),
-            order,
+            order: (0..p.records.len() as u32).collect(),
+            backing: Backing::Paged(Arc::new(p)),
             cache_hash: OnceLock::new(),
-        };
-        TLM_OPEN_NS.add(sw.ns());
-        TLM_OPENS.inc();
-        Ok(lib)
+        })
     }
 
     /// Metadata-only open: benchmark, scope, hierarchy bounds, point
@@ -1135,15 +1041,12 @@ impl LivePointLibrary {
         match sniff_version(&h)? {
             1 => Self::open_header_v1(&source, &h, file_len),
             paged::V2_VERSION => {
-                let lib = Self::open_paged(source, file_len)?;
-                let Backing::Paged(p) = &lib.backing else {
-                    unreachable!("open_paged always yields a paged backing");
-                };
+                let ((benchmark, scope, max_hierarchy), p) = PagedSource::open(source, file_len)?;
                 Ok(LibraryHeader {
                     format_version: paged::V2_VERSION,
-                    benchmark: lib.benchmark.clone(),
-                    scope: lib.scope,
-                    max_hierarchy: lib.max_hierarchy,
+                    benchmark,
+                    scope,
+                    max_hierarchy,
                     points: p.records.len() as u64,
                     blocks: p.blocks.len() as u64,
                     total_compressed_bytes: p.record_bytes,
@@ -1212,50 +1115,44 @@ impl LivePointLibrary {
         })
     }
 
-    /// Load from a file — an alias for [`open`](Self::open), kept for
-    /// callers predating the paged format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and container errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::open(path)
-    }
-
-    /// Convert a paged backing into the memory backing (plain-LZSS
-    /// records resident, processing order preserved). A no-op for
-    /// libraries that are already in memory.
+    /// The plain-LZSS records in processing order, for
+    /// [`merge`](Self::merge): a memory backing hands its records over
+    /// (leaving it empty); a paged backing is read through
+    /// [`for_each_plain_record`](Self::for_each_plain_record) and left
+    /// untouched.
     ///
     /// # Errors
     ///
     /// Propagates read faults from the paged source.
-    pub fn materialize(&mut self) -> Result<(), CoreError> {
-        if matches!(self.backing, Backing::Memory(_)) {
-            return Ok(());
+    fn materialize(&mut self) -> Result<Vec<Vec<u8>>, CoreError> {
+        if let Backing::Memory(records) = &mut self.backing {
+            return Ok(std::mem::take(records));
         }
         let mut records = Vec::with_capacity(self.len());
         self.for_each_plain_record(|rec| {
             records.push(rec.to_vec());
             Ok(())
         })?;
-        self.backing = Backing::Memory(records);
-        self.order = Vec::new();
-        self.cache_hash = OnceLock::new();
-        Ok(())
+        Ok(records)
     }
 
     /// Merge another library of the same benchmark into this one
     /// (growing the sample-size upper bound, e.g. when a comparative
     /// study needs more points than originally planned — the risk §6.2
-    /// discusses). The merged records are re-shuffled. Paged backings
-    /// are materialized first; to merge large on-disk libraries without
-    /// decompressing them, use [`merge_files`](Self::merge_files).
+    /// discusses). The records of both libraries, this one's first, are
+    /// concatenated and re-shuffled with `shuffle_seed`, so the result
+    /// is deterministic in the seed. Either library may be paged: its
+    /// records are read into memory (dictionary records recompressed
+    /// plain, as [`save`](Self::save) writes them), and the merged
+    /// library is an in-memory one; persist it with
+    /// [`save`](Self::save) or [`save_v2`](Self::save_v2).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BenchmarkMismatch`] when the benchmark or
     /// creation bounds differ (points from mismatched bounds cannot be
-    /// processed interchangeably).
+    /// processed interchangeably), or a read fault from a paged
+    /// backing; on error `self` is unchanged.
     pub fn merge(
         &mut self,
         mut other: LivePointLibrary,
@@ -1270,174 +1167,17 @@ impl LivePointLibrary {
                 found: other.benchmark,
             });
         }
-        self.materialize()?;
-        other.materialize()?;
-        let Backing::Memory(ours) = &mut self.backing else {
-            unreachable!("materialize yields a memory backing");
-        };
-        let Backing::Memory(theirs) = other.backing else {
-            unreachable!("materialize yields a memory backing");
-        };
-        ours.extend(theirs);
+        // `other` first: once `self`'s records are taken, nothing fails.
+        let theirs = other.materialize()?;
+        let mut records = self.materialize()?;
+        records.extend(theirs);
+        self.backing = Backing::Memory(records);
+        self.order = Vec::new();
         self.shuffle(shuffle_seed);
         Ok(())
     }
-
-    /// Merge library files of either format into one v2 container at
-    /// the index level: dictionaries and record bodies are raw-copied
-    /// (CRC-verified, never decompressed), block pointers are remapped,
-    /// and the combined records are written in a seeded shuffled order.
-    /// The permutation matches [`merge`](Self::merge) of the same
-    /// inputs with the same seed.
-    ///
-    /// Returns the merged library, opened paged from `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::EmptyLibrary`] for no inputs,
-    /// [`CoreError::BenchmarkMismatch`] when the inputs disagree on
-    /// benchmark or creation bounds, plus any I/O or container fault.
-    pub fn merge_files<P: AsRef<Path>>(
-        inputs: &[P],
-        out: impl AsRef<Path>,
-        shuffle_seed: u64,
-    ) -> Result<Self, CoreError> {
-        if inputs.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let libs = inputs.iter().map(Self::open).collect::<Result<Vec<_>, _>>()?;
-        for lib in &libs[1..] {
-            if lib.benchmark != libs[0].benchmark
-                || lib.max_hierarchy != libs[0].max_hierarchy
-                || lib.scope != libs[0].scope
-            {
-                return Err(CoreError::BenchmarkMismatch {
-                    expected: libs[0].benchmark.clone(),
-                    found: lib.benchmark.clone(),
-                });
-            }
-        }
-        let out = out.as_ref();
-        spectral_faultd::probe("library.merge.save")?;
-        let tmp = tmp_sibling(out);
-        match Self::merge_files_into(&libs, &tmp, shuffle_seed) {
-            Ok(()) => {
-                commit_tmp("library.merge.save", &tmp, out)?;
-            }
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                return Err(e);
-            }
-        }
-        Self::open(out)
-    }
-
-    /// The streaming body of [`merge_files`](Self::merge_files),
-    /// writing the merged container to its (non-atomic) destination.
-    fn merge_files_into(libs: &[Self], out: &Path, shuffle_seed: u64) -> Result<(), CoreError> {
-        let file = File::create(out)?;
-        let mut w = paged::PagedWriter::new(BufWriter::new(file), &libs[0].meta_der())?;
-
-        // Write every input's dictionaries up front; records then point
-        // back at them through a per-input block-id base.
-        let mut block_base = Vec::with_capacity(libs.len());
-        let mut written_blocks = 0u32;
-        let mut buf = Vec::new();
-        for lib in libs {
-            block_base.push(written_blocks);
-            match &lib.backing {
-                Backing::Memory(_) => {
-                    w.begin_block(&[])?;
-                    written_blocks += 1;
-                }
-                Backing::Paged(p) => {
-                    for (bi, b) in p.blocks.iter().enumerate() {
-                        if b.dict_len == 0 {
-                            w.begin_block(&[])?;
-                        } else {
-                            p.read_dict_raw(bi, &mut buf)?;
-                            w.begin_block(&buf)?;
-                        }
-                        written_blocks += 1;
-                    }
-                }
-            }
-        }
-
-        // Shuffle the concatenated processing orders — the same
-        // permutation `merge` applies to the concatenated record vector.
-        let mut all: Vec<(u32, u32)> = Vec::new();
-        for (li, lib) in libs.iter().enumerate() {
-            all.extend((0..lib.len() as u32).map(|i| (li as u32, i)));
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(shuffle_seed);
-        all.shuffle(&mut rng);
-
-        for (li, i) in all {
-            let lib = &libs[li as usize];
-            let base = block_base[li as usize];
-            match &lib.backing {
-                Backing::Memory(records) => {
-                    w.push_record_in_block(&records[i as usize], base)?;
-                }
-                Backing::Paged(p) => {
-                    let stored = lib.order[i as usize] as usize;
-                    p.read_record(stored, &mut buf)?;
-                    w.push_record_in_block(&buf, base + p.records[stored].block)?;
-                }
-            }
-        }
-        w.finish()?;
-        Ok(())
-    }
-
-    /// Create one library per program, spreading `threads` workers
-    /// across benchmarks and, within each benchmark, across the
-    /// encode/compress pipeline of
-    /// [`create_parallel`](Self::create_parallel) — the batch shape the
-    /// experiment binaries use ("simulation on clusters", §6.1).
-    /// Results are returned in input order and are identical to
-    /// per-program serial creation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-program creation fault.
-    pub fn create_all(
-        programs: &[Program],
-        cfg: &CreationConfig,
-        threads: usize,
-    ) -> Result<Vec<LivePointLibrary>, CoreError> {
-        if programs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = threads.max(1);
-        let outer = threads.min(programs.len());
-        if outer <= 1 {
-            return programs.iter().map(|p| Self::create_parallel(p, cfg, threads)).collect();
-        }
-        // Remaining parallelism goes to each benchmark's encode stage.
-        let inner = (threads / outer).max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Result<LivePointLibrary, CoreError>>>> =
-            programs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(program) = programs.get(i) else { break };
-                    let lib = Self::create_parallel(program, cfg, inner);
-                    *results[i].lock().expect("result lock") = Some(lib);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("result lock").expect("worker filled slot"))
-            .collect()
-    }
 }
 
-/// DER-encode the library metadata payload.
 /// The temp sibling a streaming save writes to before its atomic
 /// rename: `<file>.tmp.<pid>`, in the same directory so the rename
 /// stays within one filesystem.
@@ -1467,34 +1207,13 @@ fn commit_tmp(site: &str, tmp: &Path, path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-fn encode_meta_der(benchmark: &str, scope: StateScope, h: &HierarchyConfig) -> Vec<u8> {
-    let mut meta = DerWriter::new();
-    meta.seq(|w| {
-        w.utf8(benchmark);
-        w.u64(match scope {
-            StateScope::Full => 0,
-            StateScope::Restricted => 1,
-        });
-        for c in [&h.l1i, &h.l1d, &h.l2] {
-            w.seq(|w| {
-                w.u64(c.size_bytes());
-                w.u64(c.assoc() as u64);
-                w.u64(c.line_bytes());
-            });
-        }
-        for t in [&h.itlb, &h.dtlb] {
-            w.seq(|w| {
-                w.u64(t.entries() as u64);
-                w.u64(t.assoc() as u64);
-                w.u64(t.page_bytes());
-            });
-        }
-    });
-    meta.finish()
-}
+/// A library's metadata: benchmark, warm-state scope and maximum
+/// hierarchy geometry.
+type LibraryMeta = (String, StateScope, HierarchyConfig);
 
-/// Parse the library metadata payload written by [`encode_meta_der`].
-fn parse_meta_der(meta: &[u8]) -> Result<(String, StateScope, HierarchyConfig), CoreError> {
+/// Parse the library metadata payload written by
+/// [`LivePointLibrary::meta_der`].
+fn parse_meta_der(meta: &[u8]) -> Result<LibraryMeta, CoreError> {
     let mut r = DerReader::new(meta);
     let mut s = r.seq()?;
     let benchmark = s.utf8()?.to_owned();
@@ -1614,67 +1333,6 @@ fn encode_pipelined(
     slots.into_iter().map_while(|slot| slot.into_inner().expect("slot lock")).collect()
 }
 
-/// Pipelined creation streamed to disk: the walk feeds `threads`
-/// encode/compress workers, and a dedicated writer thread drains their
-/// output through a reorder buffer so records land in the spool in
-/// window order with only O(threads) records in flight — never the
-/// whole library. Returns the first write fault, if any.
-fn spool_pipelined<W: std::io::Write + Send>(
-    program: &Program,
-    cfg: &CreationConfig,
-    windows: &[WindowSpec],
-    threads: usize,
-    w: &mut paged::PagedWriter<W>,
-) -> Option<std::io::Error> {
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, LivePoint)>();
-    let (otx, orx) = std::sync::mpsc::channel::<(usize, Vec<u8>)>();
-    let rx = Mutex::new(rx);
-    let aborted = std::sync::atomic::AtomicBool::new(false);
-    let write_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let otx = otx.clone();
-            let rx = &rx;
-            scope.spawn(move || {
-                let mut scratch = lzss::CompressScratch::new();
-                loop {
-                    let job = rx.lock().expect("receiver lock").recv();
-                    let Ok((i, lp)) = job else { break };
-                    let bytes = compress_record(&mut scratch, &lp);
-                    if otx.send((i, bytes)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(otx);
-        let write_err = &write_err;
-        let aborted = &aborted;
-        scope.spawn(move || {
-            let mut pending: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-            let mut next = 0usize;
-            for (i, bytes) in orx.iter() {
-                pending.insert(i, bytes);
-                while let Some(bytes) = pending.remove(&next) {
-                    if let Err(e) = w.push_record(&bytes) {
-                        *write_err.lock().expect("write-err lock") = Some(e);
-                        aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                        return;
-                    }
-                    next += 1;
-                }
-            }
-        });
-        walk_windows(program, cfg, windows, |i, lp| {
-            if !aborted.load(std::sync::atomic::Ordering::Relaxed) {
-                let _ = tx.send((i, lp));
-            }
-        });
-        drop(tx);
-    });
-    write_err.into_inner().expect("write-err lock")
-}
-
 /// Iterator over a library's decoded live-points; created by
 /// [`LivePointLibrary::iter`]. Carries its own [`DecodeScratch`] so a
 /// full-library sweep reuses one decompression buffer.
@@ -1782,7 +1440,7 @@ mod tests {
         let lib = LivePointLibrary::create(&p, &small_cfg()).unwrap();
         let path = temp_path("library_v1.splp");
         lib.save(&path).unwrap();
-        let back = LivePointLibrary::load(&path).unwrap();
+        let back = LivePointLibrary::open(&path).unwrap();
         assert_eq!(back.len(), lib.len());
         assert_eq!(back.format_version(), 1);
         std::fs::remove_file(&path).ok();
@@ -1888,60 +1546,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_creation_matches_in_memory() {
-        let p = tiny().build();
-        let cfg = small_cfg();
-        let mem = LivePointLibrary::create(&p, &cfg).unwrap();
-        let opts = V2WriteOptions { dict: false, ..V2WriteOptions::default() };
-        for threads in [1, 4] {
-            let path = temp_path(&format!("streamed_{threads}.splp"));
-            let streamed =
-                LivePointLibrary::create_parallel_to_path(&p, &cfg, threads, &path, &opts).unwrap();
-            assert_eq!(streamed.format_version(), 2);
-            assert_eq!(streamed.len(), mem.len());
-            // Same records, same shuffle ⇒ same stream ⇒ same hash.
-            assert_eq!(streamed.content_hash(), mem.content_hash());
-            assert_eq!(window_seq(&streamed), window_seq(&mem));
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn merge_files_matches_in_memory_merge() {
-        let p = tiny().build();
-        let a = LivePointLibrary::create(&p, &small_cfg()).unwrap();
-        let b = LivePointLibrary::create(&p, &small_cfg().with_seed(991)).unwrap();
-        let a_path = temp_path("merge_a_v1.splp");
-        let b_path = temp_path("merge_b_v2.splp");
-        let out_plain = temp_path("merge_out_plain.splp");
-        let out_dict = temp_path("merge_out_dict.splp");
-        a.save(&a_path).unwrap();
-
-        let mut expected = a.clone();
-        expected.merge(b.clone(), 5).unwrap();
-
-        // Dictionary-less v2 input: the merged stream raw-copies the
-        // exact plain bodies, so the content hash matches in-memory.
-        b.save_v2(&b_path, &V2WriteOptions { dict: false, ..V2WriteOptions::default() }).unwrap();
-        let merged = LivePointLibrary::merge_files(&[&a_path, &b_path], &out_plain, 5).unwrap();
-        assert_eq!(merged.len(), expected.len());
-        assert_eq!(merged.content_hash(), expected.content_hash());
-        assert_eq!(window_seq(&merged), window_seq(&expected));
-
-        // Dictionary v2 input: bodies differ (dictionary-compressed,
-        // copied without decompression) but the order and every decoded
-        // point must still match.
-        b.save_v2(&b_path, &V2WriteOptions::default()).unwrap();
-        let merged = LivePointLibrary::merge_files(&[&a_path, &b_path], &out_dict, 5).unwrap();
-        assert_eq!(merged.len(), expected.len());
-        assert_eq!(window_seq(&merged), window_seq(&expected));
-
-        for p in [&a_path, &b_path, &out_plain, &out_dict] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
     fn paged_shuffle_is_deterministic_and_complete() {
         let p = tiny().build();
         let lib = LivePointLibrary::create(&p, &small_cfg()).unwrap();
@@ -2012,18 +1616,6 @@ mod tests {
     }
 
     #[test]
-    fn create_all_matches_individual_creation() {
-        let programs = vec![tiny().build(), tiny().scaled(2).build()];
-        let cfg = small_cfg();
-        let batch = LivePointLibrary::create_all(&programs, &cfg, 4).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (program, lib) in programs.iter().zip(&batch) {
-            let solo = LivePointLibrary::create(program, &cfg).unwrap();
-            assert_eq!(lib.to_bytes().unwrap(), solo.to_bytes().unwrap());
-        }
-    }
-
-    #[test]
     fn merge_grows_library() {
         let p = tiny().build();
         let mut a = LivePointLibrary::create(&p, &small_cfg()).unwrap();
@@ -2035,6 +1627,39 @@ mod tests {
         for i in 0..a.len() {
             a.get(i).unwrap();
         }
+    }
+
+    #[test]
+    fn merge_is_deterministic_and_keeps_every_point() {
+        let p = tiny().build();
+        let a = LivePointLibrary::create(&p, &small_cfg()).unwrap();
+        let b = LivePointLibrary::create(&p, &small_cfg().with_seed(991)).unwrap();
+        let merged = |seed| {
+            let mut m = a.clone();
+            m.merge(b.clone(), seed).unwrap();
+            m
+        };
+        let (m1, m2) = (merged(5), merged(5));
+        assert_eq!(window_seq(&m1), window_seq(&m2));
+        assert_eq!(m1.content_hash(), m2.content_hash());
+        assert_ne!(window_seq(&m1), window_seq(&merged(6)), "the seed drives the order");
+        // The same multiset of windows as a ∪ b.
+        let mut got = window_seq(&m1);
+        let mut want = window_seq(&a);
+        want.extend(window_seq(&b));
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+
+        // A paged input with dictionaries merges to the same records in
+        // the same order.
+        let path = temp_path("merge_paged_same.splp");
+        a.save_v2(&path, &V2WriteOptions::default()).unwrap();
+        let mut paged = LivePointLibrary::open(&path).unwrap();
+        paged.merge(b.clone(), 5).unwrap();
+        assert_eq!(window_seq(&paged), window_seq(&m1));
+        assert_eq!(paged.content_hash(), m1.content_hash());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

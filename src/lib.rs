@@ -38,6 +38,12 @@
 //! # }
 //! ```
 
+// Compile the README's Rust snippets as doc-tests, so a snippet that
+// calls a removed API fails `cargo test --doc`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use spectral_cache as cache;
 pub use spectral_codec as codec;
 pub use spectral_core as core;

@@ -26,7 +26,7 @@ fn full_experiment_procedure() {
     // Step 3: the library is stored as a single compressed stream.
     let path = std::env::temp_dir().join("spectral_e2e.splp");
     library.save(&path).expect("save");
-    let library = LivePointLibrary::load(&path).expect("load");
+    let library = LivePointLibrary::open(&path).expect("load");
     std::fs::remove_file(&path).ok();
 
     // Step 4: baseline measurement with online confidence.
