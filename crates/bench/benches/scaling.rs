@@ -241,53 +241,9 @@ fn emit_telemetry_json(throughput: &str, profiler: &str) -> String {
     json
 }
 
-/// Append one `kind: "bench"` record per measured (stage, workers) cell
-/// to the cross-run registry when `SPECTRAL_REGISTRY` names one, so the
-/// scaling trajectory is queryable with `spectral-doctor trend`
-/// alongside the experiment runs.
-fn append_registry_records(c: &Criterion) {
-    let registry = match spectral_registry::Registry::from_env() {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) => {
-            eprintln!("could not open SPECTRAL_REGISTRY registry: {e}");
-            return;
-        }
-    };
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    for r in c.results() {
-        let rate = match r.throughput {
-            Some(Throughput::Elements(n)) => n as f64 / r.median_s,
-            Some(Throughput::Bytes(n)) => n as f64 / r.median_s,
-            None => 1.0 / r.median_s,
-        };
-        // Ids are "<stage>/<workers>"; the stage becomes the benchmark
-        // label so each (stage, workers) cell forms its own trend
-        // series.
-        let (stage, workers) = match r.id.split_once('/') {
-            Some((s, w)) => (s.to_owned(), w.parse().unwrap_or(0)),
-            None => (r.id.clone(), 0),
-        };
-        let mut record =
-            spectral_registry::RunRecord::new("bench", "scaling", stage, "8-wide", workers);
-        record.run_id =
-            spectral_telemetry::derive_run_id(&r.id, spectral_telemetry::next_run_seq());
-        record.points_processed = Some(POINTS);
-        record.run_secs = Some(r.median_s);
-        record.run_rate = Some(rate);
-        record.notes.push(("host_parallelism".to_owned(), host.to_string()));
-        if let Err(e) = registry.append(&record) {
-            eprintln!("could not append bench record to registry: {e}");
-            return;
-        }
-    }
-    println!("appended {} bench records to {}", c.results().len(), registry.dir().display());
-}
-
 fn main() {
     let mut criterion = Criterion::default();
     bench_scaling(&mut criterion);
-    append_registry_records(&criterion);
     let json = emit_json(&criterion);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     match std::fs::write(path, &json) {

@@ -53,13 +53,11 @@ impl HealthMonitor {
     /// run ordinal (one [`spectral_telemetry::next_run_seq`] allocation
     /// per run, shared by all of its workers so a consumer can separate
     /// back-to-back runs in one journal). Subscription is sampled here,
-    /// once: the monitor is live when either the run journal
-    /// ([`spectral_telemetry::journaling`]) or the in-process run-summary
-    /// tally ([`spectral_telemetry::run_summaries_on`], the registry's
-    /// convergence-summary feed) is on.
+    /// once: the monitor is live when the run journal
+    /// ([`spectral_telemetry::journaling`]) is on.
     pub fn new(seq: u64, run: &'static str, worker: usize, policy: &RunPolicy) -> Self {
         HealthMonitor {
-            on: spectral_telemetry::journaling() || spectral_telemetry::run_summaries_on(),
+            on: spectral_telemetry::journaling(),
             seq,
             run,
             worker,

@@ -24,36 +24,19 @@
 //! (`--json`), and can convert the journal into a Chrome
 //! `trace_event` document for <https://ui.perfetto.dev> (`--perfetto`).
 //!
-//! Beyond the per-run `analyze` diagnosis, the binary grew cross-run
-//! subcommands over the [`spectral-registry`](spectral_registry)
-//! run registry:
-//!
-//! * **`trend`** ([`trend`]) — per-benchmark/per-machine time series of
-//!   run rate, points-to-convergence, and CI half-width across
-//!   registry records, rendered as sparklines or JSON.
-//! * **`gate`** ([`gate`]) — a statistical regression verdict between a
-//!   baseline run-set and a candidate run-set, built on
-//!   [`spectral_stats::MatchedPair`]; designed as a CI gate (exit code
-//!   2 on regression).
-//! * **`watch`** ([`WatchFrame`]) — a live terminal dashboard over a
-//!   growing run journal or registry directory, with an optional
-//!   Prometheus-style text exposition (`--prom`).
-//! * **`profile`** ([`parse_profile`], [`analyze_profile`]) —
-//!   wall-clock attribution over the journal's worker-timeline profile
-//!   records: per-worker phase shares with an
-//!   explicit idle remainder, merge-lock wait distribution, prefetch
-//!   stall vs decode-ahead, straggler/barrier waste, a critical-path
-//!   estimate, and the profiler's own overhead.
+//! The binary's second subcommand, `profile` ([`parse_profile`],
+//! [`analyze_profile`]), reads the same journal's worker-timeline
+//! profile records: per-worker phase shares with an explicit idle
+//! remainder, merge-lock wait distribution, prefetch stall vs
+//! decode-ahead, straggler/barrier waste, a critical-path estimate, and
+//! the profiler's own overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analyze;
-mod gate;
 mod profile;
 mod report;
-mod trend;
-mod watch;
 
 use std::fmt;
 use std::path::Path;
@@ -64,15 +47,12 @@ pub use analyze::{
     analyze, diff_runs, exhausted_without_convergence, Diagnosis, RunDiff, SeriesDiagnosis,
     ShardReport, TrajectoryPoint,
 };
-pub use gate::{gate, render_gate_json, render_gate_text, GateComparison, GateConfig, GateVerdict};
 pub use profile::{
     analyze_profile, measure_record_cost_ns, parse_profile, render_profile_json,
     render_profile_text, OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileInterval,
     ProfileReport, ProfileRun, WaitStats, WorkerProfile, WorkerReport,
 };
 pub use report::{render_json, render_text, sparkline};
-pub use trend::{render_trend_json, render_trend_text, trend, TrendPoint, TrendSeries};
-pub use watch::{EventsTail, SeriesState, WatchFrame};
 
 /// A doctor failure: a one-line diagnostic for stderr.
 #[derive(Debug)]

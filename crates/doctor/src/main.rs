@@ -1,5 +1,5 @@
-//! `spectral-doctor` — sampling-health analysis and cross-run
-//! regression tracking.
+//! `spectral-doctor` — sampling-health and profile analysis of a run
+//! journal.
 //!
 //! ```text
 //! spectral-doctor analyze --journal run.jsonl [--manifest run.json]
@@ -7,32 +7,19 @@
 //!                         [--baseline-manifest old.json]
 //!                         [--json report.json] [--perfetto trace.chrome.json]
 //!                         [--top N] [--check] [--max-imbalance PCT]
-//! spectral-doctor trend   --registry DIR [--json PATH] [--binary NAME]
-//!                         [--benchmark NAME] [--machine NAME] [--last N]
-//! spectral-doctor gate    --registry DIR [--baseline LABEL] [--candidate LABEL]
-//!                         [--max-regress PCT] [--json PATH]
-//! spectral-doctor watch   (--journal PATH | --registry DIR) [--prom FILE]
-//!                         [--interval MS] [--once | --frames N]
 //! spectral-doctor profile --journal PATH [--json PATH] [--perfetto PATH]
 //!                         [--record-cost-ns N]
 //! ```
 //!
 //! `analyze` prints the per-run text diagnosis to stdout (`--json` /
 //! `--perfetto` additionally write reports; `--check` exits non-zero on
-//! a run that exhausted its library without converging). Invoking the
-//! binary with bare flags and no subcommand is the pre-subcommand
-//! `analyze` spelling and keeps working.
+//! a run that exhausted its library without converging;
+//! `--baseline-journal` adds a diff against a second run, whose manifest
+//! `--baseline-manifest` names). Invoking the binary with bare flags and
+//! no subcommand is the pre-subcommand `analyze` spelling and keeps
+//! working. `--help` / `-h` prints the usage summary and exits 0 for
+//! every subcommand.
 //!
-//! `trend` renders per-benchmark/per-machine sparkline time series over
-//! a run registry; `gate` compares a baseline run-set against a
-//! candidate run-set and exits 0 on pass, 2 on regression, 1 on error —
-//! the CI contract; `watch` tails a growing run journal or registry
-//! directory, redrawing an in-place dashboard each `--interval` and
-//! optionally writing a Prometheus-style text exposition to `--prom`;
-//! for all three, `--registry` falls back to the `SPECTRAL_REGISTRY`
-//! environment variable when the flag is omitted — the same contract
-//! the experiment binaries use for appending. `--help` / `-h` prints
-//! the usage summary and exits 0 for every subcommand;
 //! `profile` attributes each worker's wall-clock to scheduler/decode/
 //! simulate/merge phases from a run journal's profile records, reporting
 //! contention, stragglers, a critical-path estimate, and the profiler's
@@ -43,10 +30,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spectral_doctor::{
-    analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate,
-    measure_record_cost_ns, parse_profile, render_gate_json, render_gate_text, render_json,
-    render_profile_json, render_profile_text, render_text, render_trend_json, render_trend_text,
-    trend, DoctorError, GateConfig, RunArtifacts, WatchFrame,
+    analyze, analyze_profile, diff_runs, exhausted_without_convergence, measure_record_cost_ns,
+    parse_profile, render_json, render_profile_json, render_profile_text, render_text, DoctorError,
+    RunArtifacts,
 };
 
 #[derive(Debug, Default)]
@@ -65,12 +51,6 @@ struct AnalyzeCli {
 const USAGE: &str = "spectral-doctor [analyze] --journal PATH [--manifest PATH] \
                      [--baseline-journal PATH] [--baseline-manifest PATH] [--json PATH] \
                      [--perfetto PATH] [--top N] [--check] [--max-imbalance PCT]\n\
-                     spectral-doctor trend --registry DIR [--json PATH] [--binary NAME] \
-                     [--benchmark NAME] [--machine NAME] [--last N]\n\
-                     spectral-doctor gate --registry DIR [--baseline LABEL] \
-                     [--candidate LABEL] [--max-regress PCT] [--json PATH]\n\
-                     spectral-doctor watch (--journal PATH | --registry DIR) [--prom FILE] \
-                     [--interval MS] [--once | --frames N]\n\
                      spectral-doctor profile --journal PATH [--json PATH] [--perfetto PATH] \
                      [--record-cost-ns N]";
 
@@ -138,6 +118,9 @@ fn parse_analyze(argv: &[String]) -> Result<AnalyzeCli, DoctorError> {
     }
     if cli.max_imbalance.is_some() && !cli.check {
         return Err(DoctorError::msg("--max-imbalance only applies with --check"));
+    }
+    if cli.baseline_manifest.is_some() && cli.baseline_journal.is_none() {
+        return Err(DoctorError::msg("--baseline-manifest only applies with --baseline-journal"));
     }
     Ok(cli)
 }
@@ -228,190 +211,6 @@ fn analyze_main(argv: &[String]) -> ExitCode {
     }
 }
 
-/// The effective registry directory: `--registry` when given, else the
-/// `SPECTRAL_REGISTRY` environment variable (when non-empty) — the same
-/// fallback the experiment binaries use when appending.
-fn registry_dir(cli: Option<&PathBuf>) -> Option<PathBuf> {
-    cli.cloned().or_else(|| {
-        std::env::var_os(spectral_registry::REGISTRY_ENV)
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    })
-}
-
-fn load_registry(cli: Option<&PathBuf>) -> Result<Vec<spectral_registry::RunRecord>, DoctorError> {
-    let dir = registry_dir(cli).ok_or_else(|| {
-        DoctorError::msg(format!("--registry is required (or set SPECTRAL_REGISTRY)\n{USAGE}"))
-    })?;
-    spectral_registry::load_records(&dir)
-        .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.display())))
-}
-
-fn trend_main(argv: &[String]) -> ExitCode {
-    let run = || -> Result<(), DoctorError> {
-        let mut registry = None;
-        let mut json = None;
-        let (mut binary, mut benchmark, mut machine) = (None, None, None);
-        let mut last: Option<usize> = None;
-        let mut args = Args::new(argv);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
-                "--json" => json = Some(PathBuf::from(args.value("--json")?)),
-                "--binary" => binary = Some(args.value("--binary")?.clone()),
-                "--benchmark" => benchmark = Some(args.value("--benchmark")?.clone()),
-                "--machine" => machine = Some(args.value("--machine")?.clone()),
-                "--last" => last = Some(args.parsed("--last", "an integer")?),
-                other => {
-                    return Err(DoctorError::msg(format!("unknown argument {other}\n{USAGE}")))
-                }
-            }
-        }
-        let mut records = load_registry(registry.as_ref())?;
-        records.retain(|r| {
-            binary.as_ref().is_none_or(|b| &r.binary == b)
-                && benchmark.as_ref().is_none_or(|b| &r.benchmark == b)
-                && machine.as_ref().is_none_or(|m| &r.machine == m)
-        });
-        let mut series = trend(&records);
-        if let Some(n) = last {
-            for s in &mut series {
-                let drop = s.points.len().saturating_sub(n);
-                s.points.drain(..drop);
-            }
-        }
-        print!("{}", render_trend_text(&series));
-        if let Some(path) = &json {
-            write_file(path, &render_trend_json(&series))?;
-        }
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("spectral-doctor trend: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn gate_main(argv: &[String]) -> ExitCode {
-    let run = || -> Result<bool, DoctorError> {
-        let mut registry = None;
-        let mut json = None;
-        let mut cfg = GateConfig::default();
-        let mut args = Args::new(argv);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
-                "--baseline" => cfg.baseline = args.value("--baseline")?.clone(),
-                "--candidate" => cfg.candidate = args.value("--candidate")?.clone(),
-                "--max-regress" => {
-                    cfg.max_regress = args.parsed("--max-regress", "a percentage")?;
-                    if !(0.0..=100.0).contains(&cfg.max_regress) {
-                        return Err(DoctorError::msg(format!(
-                            "--max-regress: percentage must be in 0..=100, got {}",
-                            cfg.max_regress
-                        )));
-                    }
-                }
-                "--json" => json = Some(PathBuf::from(args.value("--json")?)),
-                other => {
-                    return Err(DoctorError::msg(format!("unknown argument {other}\n{USAGE}")))
-                }
-            }
-        }
-        let records = load_registry(registry.as_ref())?;
-        let verdict = gate(&records, &cfg)?;
-        print!("{}", render_gate_text(&verdict, &cfg));
-        if let Some(path) = &json {
-            write_file(path, &render_gate_json(&verdict, &cfg))?;
-        }
-        Ok(verdict.pass())
-    };
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        // Exit 2 distinguishes "a regression was detected" from
-        // "the gate itself failed to run" (exit 1) for CI pipelines.
-        Ok(false) => ExitCode::from(2),
-        Err(e) => {
-            eprintln!("spectral-doctor gate: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn watch_main(argv: &[String]) -> ExitCode {
-    let run = || -> Result<(), DoctorError> {
-        let mut journal: Option<PathBuf> = None;
-        let mut registry: Option<PathBuf> = None;
-        let mut prom: Option<PathBuf> = None;
-        let mut interval_ms: u64 = 1_000;
-        let mut frames: Option<u64> = None;
-        let mut args = Args::new(argv);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--journal" => journal = Some(PathBuf::from(args.value("--journal")?)),
-                "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
-                "--prom" => prom = Some(PathBuf::from(args.value("--prom")?)),
-                "--interval" => interval_ms = args.parsed("--interval", "milliseconds")?,
-                "--once" => frames = Some(1),
-                "--frames" => frames = Some(args.parsed("--frames", "an integer")?),
-                other => {
-                    return Err(DoctorError::msg(format!("unknown argument {other}\n{USAGE}")))
-                }
-            }
-        }
-        // With neither source flag given, fall back to the
-        // SPECTRAL_REGISTRY environment variable like trend/gate do.
-        let registry =
-            if journal.is_none() && registry.is_none() { registry_dir(None) } else { registry };
-        if journal.is_some() == registry.is_some() {
-            return Err(DoctorError::msg(
-                "watch needs exactly one of --journal PATH or --registry DIR \
-                 (or the SPECTRAL_REGISTRY environment variable)",
-            ));
-        }
-        let total = frames.unwrap_or(u64::MAX);
-        let in_place = total > 1;
-        // Incremental tail: each frame reads only appended bytes, and a
-        // truncated or rotated file re-seeks instead of erroring — a
-        // journal that hasn't been created yet is an empty frame,
-        // because watch outlives writers.
-        let mut tail = journal.as_ref().map(spectral_doctor::EventsTail::new);
-        for i in 0..total {
-            let frame = match (&mut tail, &registry) {
-                (Some(tail), None) => WatchFrame::from_events_text(tail.poll()),
-                (None, Some(dir)) => {
-                    let records = spectral_registry::load_records(dir)
-                        .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.display())))?;
-                    WatchFrame::from_records(records)
-                }
-                _ => unreachable!("validated above"),
-            };
-            if in_place {
-                // Clear + home, then redraw over the previous frame.
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", frame.dashboard());
-            if let Some(path) = &prom {
-                write_file(path, &frame.prometheus())?;
-            }
-            if i + 1 < total {
-                std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-            }
-        }
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("spectral-doctor watch: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn profile_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
         let mut journal: Option<PathBuf> = None;
@@ -475,9 +274,6 @@ fn main() -> ExitCode {
     }
     match argv.first().map(String::as_str) {
         Some("analyze") => analyze_main(&argv[1..]),
-        Some("trend") => trend_main(&argv[1..]),
-        Some("gate") => gate_main(&argv[1..]),
-        Some("watch") => watch_main(&argv[1..]),
         Some("profile") => profile_main(&argv[1..]),
         // Bare flags are the pre-subcommand `analyze` spelling.
         _ => analyze_main(&argv),

@@ -60,9 +60,8 @@ fn run(args: Args) -> Result<(), ExpError> {
     let library = LivePointLibrary::open(input).context("cannot open library", input)?;
     manifest.phase("open_library", t.secs());
 
-    let target = args.lib_format.unwrap_or(2);
     let t = Timer::start();
-    args.write_library(&library, output)?;
+    let target = args.write_library(&library, output)?;
     manifest.phase("write_library", t.secs());
 
     // Re-open the copy and verify it carries the same points. The
@@ -91,7 +90,7 @@ fn run(args: Args) -> Result<(), ExpError> {
         converted.len(),
     ));
 
-    stamp_library(&mut manifest, &converted);
+    stamp_library(&mut manifest, &converted, target);
     manifest.points_processed = Some(converted.len() as u64);
     report.finish(&args)?;
     args.finish_run(&mut manifest)

@@ -68,17 +68,19 @@ fn run(mut args: Args) -> Result<(), ExpError> {
             library
         }
     };
-    if let Some(path) = &args.save_library {
-        let t = Timer::start();
-        args.write_library(&library, path)?;
-        manifest.phase("save_library", t.secs());
-        report.line(format!(
-            "library saved to {} (format v{})",
-            path.display(),
-            args.lib_format.unwrap_or(2)
-        ));
-    }
-    stamp_library(&mut manifest, &library);
+    // The manifest records the container this run wrote, else the one
+    // it opened (or the in-memory library it created).
+    let format = match &args.save_library {
+        Some(path) => {
+            let t = Timer::start();
+            let format = args.write_library(&library, path)?;
+            manifest.phase("save_library", t.secs());
+            report.line(format!("library saved to {} (format v{format})", path.display()));
+            format
+        }
+        None => library.format_version(),
+    };
+    stamp_library(&mut manifest, &library, format);
     let runner = OnlineRunner::new(&library, machine.clone());
 
     // Exhaustive run with a fine trajectory: the convergence picture.

@@ -52,11 +52,6 @@
 //!   convergence progress, per-point anomalies) and worker-timeline
 //!   profile records; also enabled by the `SPECTRAL_JOURNAL` env var.
 //!   Feed it to `spectral-doctor analyze` and `spectral-doctor profile`.
-//! * `--registry DIR` — append one distilled run record (run id, code
-//!   version, throughput, final estimate, convergence summaries) to the
-//!   cross-run registry at DIR on exit; also enabled by the
-//!   `SPECTRAL_REGISTRY` env var. Query the registry with
-//!   `spectral-doctor trend` / `gate` / `watch`.
 //! * `--report-out PATH` — copy the report (tables and lines) to a
 //!   text file
 //! * `--report-json PATH` — write the report as structured JSON
@@ -189,8 +184,6 @@ pub struct Args {
     pub metrics_out: Option<PathBuf>,
     /// JSONL run-journal output path (`--journal`).
     pub journal: Option<PathBuf>,
-    /// Cross-run registry directory (`--registry`).
-    pub registry: Option<PathBuf>,
     /// Text report copy (`--report-out`).
     pub report_out: Option<PathBuf>,
     /// JSON report output (`--report-json`).
@@ -222,7 +215,6 @@ impl Args {
             resume: None,
             metrics_out: None,
             journal: None,
-            registry: None,
             report_out: None,
             report_json: None,
         }
@@ -234,19 +226,12 @@ impl Args {
     ///
     /// Returns a usage diagnostic on unknown flags, missing values, or
     /// malformed integers. Also installs the run journal when
-    /// `--journal` (or the `SPECTRAL_JOURNAL` env var) is present, and
-    /// the in-process run-summary tally when `--registry` (or the
-    /// `SPECTRAL_REGISTRY` env var) is present — the registry record
-    /// distills convergence from the tally, which works without a
-    /// journal.
+    /// `--journal` (or the `SPECTRAL_JOURNAL` env var) is present.
     pub fn try_parse() -> Result<Args, ExpError> {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let args = Self::try_parse_from(&argv)?;
         if let Some(capacity) = args.decode_cache {
             spectral_core::set_decode_cache_capacity(capacity);
-        }
-        if args.registry_dir().is_some() {
-            spectral_telemetry::enable_run_summaries();
         }
         match &args.journal {
             Some(path) => {
@@ -345,7 +330,6 @@ impl Args {
                 "--resume" => args.resume = Some(PathBuf::from(value("--resume")?)),
                 "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
                 "--journal" => args.journal = Some(PathBuf::from(value("--journal")?)),
-                "--registry" => args.registry = Some(PathBuf::from(value("--registry")?)),
                 "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
                 "--report-json" => args.report_json = Some(PathBuf::from(value("--report-json")?)),
                 other => {
@@ -354,8 +338,7 @@ impl Args {
                          --windows --seeds --scale --machine --threads --library \
                          --save-library --lib-format --block --dict --decode-cache \
                          --chunk --prefetch --target --checkpoint --checkpoint-every \
-                         --resume --metrics-out --journal --registry --report-out \
-                         --report-json)"
+                         --resume --metrics-out --journal --report-out --report-json)"
                     )))
                 }
             }
@@ -404,9 +387,9 @@ impl Args {
     }
 
     /// Stamp resume lineage into a run manifest: when `--resume` named
-    /// a checkpoint, a `resumed_from` note records it so the manifest,
-    /// the registry record, and `doctor analyze` can distinguish
-    /// resumed runs from uninterrupted ones.
+    /// a checkpoint, a `resumed_from` note records it so the manifest
+    /// and `doctor analyze` can distinguish resumed runs from
+    /// uninterrupted ones.
     pub fn stamp_recovery(&self, manifest: &mut RunManifest) {
         if let Some(ckpt) = &self.resume {
             manifest.note("resumed_from", ckpt.display().to_string());
@@ -479,7 +462,7 @@ impl Args {
 
     /// Persist `library` to `path` in the `--lib-format` container
     /// (paged v2 unless `--lib-format 1` asked for the monolithic
-    /// stream).
+    /// stream), returning the format version written.
     ///
     /// # Errors
     ///
@@ -488,8 +471,9 @@ impl Args {
         &self,
         library: &spectral_core::LivePointLibrary,
         path: &std::path::Path,
-    ) -> Result<(), ExpError> {
-        match self.lib_format.unwrap_or(2) {
+    ) -> Result<u16, ExpError> {
+        let format = self.lib_format.unwrap_or(2);
+        match format {
             1 => library.save(path).context("cannot save library", path)?,
             _ => {
                 library
@@ -498,7 +482,7 @@ impl Args {
                     .map(drop)?;
             }
         }
-        Ok(())
+        Ok(format)
     }
 
     /// Start a run manifest for `binary` under these arguments,
@@ -533,28 +517,13 @@ impl Args {
         m
     }
 
-    /// The effective registry directory: `--registry` when given, else
-    /// the `SPECTRAL_REGISTRY` environment variable (when non-empty).
-    pub fn registry_dir(&self) -> Option<PathBuf> {
-        self.registry.clone().or_else(|| {
-            std::env::var_os(spectral_registry::REGISTRY_ENV)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        })
-    }
-
     /// Finish a run: stamp a collision-resistant `run_id` into the
     /// manifest, embed the metrics snapshot and write the manifest to
-    /// `--metrics-out` (when given), append a distilled record (with
-    /// the stored manifest artifact and the convergence summaries
-    /// drained from the in-process tally) to the cross-run registry
-    /// (when `--registry` / `SPECTRAL_REGISTRY` names one), and flush
-    /// the run journal.
+    /// `--metrics-out` (when given), and flush the run journal.
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when the manifest cannot be written or the
-    /// registry cannot be appended to.
+    /// Returns a diagnostic when the manifest cannot be written.
     pub fn finish_run(&self, manifest: &mut RunManifest) -> Result<(), ExpError> {
         if manifest.run_id.is_none() {
             // Seeded from the manifest content so two binaries started
@@ -565,27 +534,10 @@ impl Args {
                 spectral_telemetry::next_run_seq(),
             ));
         }
-        let registry_dir = self.registry_dir();
-        if self.metrics_out.is_some() || registry_dir.is_some() {
-            let snapshot = spectral_telemetry::snapshot();
-            if let Some(path) = &self.metrics_out {
-                manifest.write(path, Some(&snapshot)).context("cannot write manifest", path)?;
-            }
-            if let Some(dir) = registry_dir {
-                let registry = spectral_registry::Registry::open(&dir)
-                    .context("cannot open registry", &dir)?;
-                let summaries = spectral_telemetry::take_run_summaries();
-                let mut record = spectral_registry::RunRecord::from_manifest(manifest, summaries);
-                record.cache_hits = snapshot.counter("core.lib.cache_hits");
-                record.cache_misses = snapshot.counter("core.lib.cache_misses");
-                record.cache_evictions = snapshot.counter("core.lib.cache_evictions");
-                record.manifest_path = Some(
-                    registry
-                        .store_artifact("json", manifest.to_json_with_metrics(&snapshot).as_bytes())
-                        .context("cannot store manifest artifact in", &dir)?,
-                );
-                registry.append(&record).context("cannot append to registry", &dir)?;
-            }
+        if let Some(path) = &self.metrics_out {
+            manifest
+                .write(path, Some(&spectral_telemetry::snapshot()))
+                .context("cannot write manifest", path)?;
         }
         spectral_telemetry::flush_journal();
         Ok(())
@@ -593,11 +545,17 @@ impl Args {
 }
 
 /// Record a library's identity in a run manifest: content hash,
-/// container format version, and point count — what the registry
-/// distills into `library_id` / `library_format`.
-pub fn stamp_library(manifest: &mut RunManifest, library: &spectral_core::LivePointLibrary) {
+/// container format version, and point count. `format` is the version
+/// of the container the run wrote or opened; an unsaved in-memory
+/// library passes its own
+/// [`format_version`](spectral_core::LivePointLibrary::format_version).
+pub fn stamp_library(
+    manifest: &mut RunManifest,
+    library: &spectral_core::LivePointLibrary,
+    format: u16,
+) {
     manifest.library_id = Some(format!("crc32:{:08x}", library.content_hash()));
-    manifest.library_format = Some(u64::from(library.format_version()));
+    manifest.library_format = Some(u64::from(format));
     manifest.library_points = Some(library.len() as u64);
 }
 
@@ -1017,8 +975,6 @@ mod tests {
             "r.txt",
             "--report-json",
             "r.json",
-            "--registry",
-            "reg-dir",
         ]))
         .expect("valid argv");
         assert_eq!(a.benchmarks.as_deref(), Some(&["gcc-like".to_owned(), "mcf-like".into()][..]));
@@ -1054,7 +1010,6 @@ mod tests {
         assert_eq!(a.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
         assert_eq!(a.report_out.as_deref(), Some(std::path::Path::new("r.txt")));
         assert_eq!(a.report_json.as_deref(), Some(std::path::Path::new("r.json")));
-        assert_eq!(a.registry.as_deref(), Some(std::path::Path::new("reg-dir")));
         assert!(a.machine_config().is_ok());
     }
 

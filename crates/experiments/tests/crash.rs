@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use spectral_core::{LivePointLibrary, RunCheckpoint};
-use spectral_registry::Registry;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("spectral_crash_{}_{name}", std::process::id()));
@@ -76,58 +75,30 @@ fn killed_checkpointing_run_resumes_to_the_same_estimate() {
 }
 
 #[test]
-fn kill_around_registry_append_leaves_zero_or_one_committed_records() {
-    // Kill *before* the index append: no record. Kill *after* the
-    // durable append: exactly one record. Both leave a loadable index.
-    for (site, expected) in [("registry.append", 0usize), ("registry.append.post", 1)] {
-        let dir = temp_dir(&format!("reg_{expected}"));
-        let out = online(
-            &["--registry", dir.to_str().unwrap()],
-            &[("SPECTRAL_FAULT_KILL", &format!("{site}:1"))],
-        );
-        assert!(!out.status.success(), "kill at {site} must abort");
-        let registry = Registry::open(&dir).expect("registry dir intact");
-        let records = registry.load().expect("index never torn");
-        assert_eq!(records.len(), expected, "kill at {site}");
-        // Any committed record's manifest artifact must be complete.
-        for r in &records {
-            let rel = r.manifest_path.as_ref().expect("artifact stored before index append");
-            let bytes = registry.read_artifact(rel).expect("artifact readable");
-            assert!(bytes.starts_with(b"{"), "artifact is the manifest JSON");
-        }
-
-        // The next clean run appends over whatever the crash left.
-        let out = online(&["--registry", dir.to_str().unwrap()], &[]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let records = registry.load().expect("index loads after recovery append");
-        assert_eq!(records.len(), expected + 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn short_write_tears_only_the_index_tail_and_heals_on_next_append() {
+fn short_write_at_the_manifest_fails_the_run_and_keeps_the_old_file() {
     let dir = temp_dir("short");
-    // Force every index append to stop short and fail: the binary exits
-    // with an error and the index ends in a torn partial record.
+    let manifest = dir.join("run.json");
+    let manifest_s = manifest.to_str().unwrap();
+    let out = online(&["--metrics-out", manifest_s], &[]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let old = std::fs::read(&manifest).expect("first run wrote the manifest");
+
+    // Every manifest write stops halfway and fails: the binary exits
+    // with the injected diagnostic and the rename never happens.
     let out = online(
-        &["--registry", dir.to_str().unwrap()],
-        &[("SPECTRAL_FAULT_SHORT", "registry.append:1"), ("SPECTRAL_FAULT_RETRIES", "1")],
+        &["--metrics-out", manifest_s],
+        &[("SPECTRAL_FAULT_SHORT", "telemetry.manifest.write:1")],
     );
     assert!(!out.status.success(), "short-write injection must fail the run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("injected fault"), "diagnostic names the injection: {stderr}");
-
-    let registry = Registry::open(&dir).unwrap();
-    let records = registry.load().expect("torn tail is dropped, not fatal");
-    assert_eq!(records.len(), 0, "the partial record is not surfaced");
-
-    // A clean append repairs the tail; the new record is intact.
-    let out = online(&["--registry", dir.to_str().unwrap()], &[]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let records = registry.load().unwrap();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].binary, "online");
+    assert_eq!(std::fs::read(&manifest).unwrap(), old, "the old manifest's bytes are intact");
+    let litter: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".tmp."))
+        .collect();
+    assert!(litter.is_empty(), "the torn temp sibling is removed: {litter:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,12 +1,11 @@
 //! Fault-injection harness and crash-safe I/O helpers.
 //!
 //! Every state-mutating I/O path in the workspace funnels through this
-//! crate: [`write_atomic`] (temp file + fsync + atomic rename),
-//! [`append_durable`] (`O_APPEND` single-write + fsync), and [`retry`]
-//! (bounded retry with linear backoff on transient errors). Each helper
-//! probes a named *fault site* first, so an external harness can inject
-//! I/O errors, short writes, or process death at any of them without
-//! touching the code under test.
+//! crate: [`write_atomic`] (temp file + fsync + atomic rename) and
+//! [`retry`] (bounded retry with linear backoff on transient errors).
+//! Each helper probes a named *fault site* first, so an external harness
+//! can inject I/O errors, short writes, or process death at any of them
+//! without touching the code under test.
 //!
 //! # Arming faults
 //!
@@ -24,7 +23,7 @@
 //! | `SPECTRAL_FAULT_BACKOFF_MS` | base backoff in milliseconds between attempts (default 1) |
 //!
 //! A site name in the spec may end with `*` to prefix-match (e.g.
-//! `registry.*:1.0`). With the `inject` feature disabled (default-on)
+//! `library.*:1.0`). With the `inject` feature disabled (default-on)
 //! every probe compiles to `Ok(())` and the parser is never built; the
 //! durable-write helpers keep their crash-safety protocol either way.
 //!
@@ -34,9 +33,6 @@
 //! file contents or the complete new contents, never a torn mix: bytes
 //! land in a sibling temp file, are fsynced, and only then renamed over
 //! the destination (the directory is fsynced afterwards, best-effort).
-//! [`append_durable`] appends one buffer with a single `write` call and
-//! fsyncs; a crash can tear at most the final record, which readers
-//! must tolerate (the registry index reader does).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -363,31 +359,6 @@ pub fn write_atomic(site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Append `bytes` to `path` durably with one `O_APPEND` write + fsync.
-///
-/// The single-write discipline means a crash can tear at most the
-/// final record; readers of append-only files must tolerate (and
-/// discard) one trailing partial record. Short-write injection at
-/// `site` deliberately leaves such a torn tail.
-pub fn append_durable(site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    probe(site)?;
-    let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    match armed::short_write_len(site, bytes.len()) {
-        Some(n) => {
-            f.write_all(&bytes[..n])?;
-            let _ = f.sync_all();
-            return Err(io::Error::other(format!(
-                "{INJECTED_PREFIX} (short append, {n}/{} bytes) at {site}",
-                bytes.len()
-            )));
-        }
-        None => f.write_all(bytes)?,
-    }
-    f.sync_all()?;
-    kill_point(&format!("{site}.post"));
-    Ok(())
-}
-
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     name.push(format!(".tmp.{}", std::process::id()));
@@ -413,17 +384,6 @@ mod tests {
         write_atomic("test.write", &path, b"new contents").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"new contents");
         assert!(fs::read_dir(&dir).unwrap().count() == 1, "no temp litter after successful writes");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_durable_appends() {
-        let dir = std::env::temp_dir().join(format!("faultd-append-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.jsonl");
-        append_durable("test.append", &path, b"a\n").unwrap();
-        append_durable("test.append", &path, b"b\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "a\nb\n");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -87,20 +87,6 @@ impl MatchedPair {
         (self.delta_mean() - hw, self.delta_mean() + hw)
     }
 
-    /// The relative change's confidence interval `(lo, hi)` at
-    /// `confidence`: the delta interval scaled by the base mean. Used by
-    /// `spectral-doctor gate` to report how bad a regression *could* be,
-    /// not just its point estimate; `(0.0, 0.0)` when the base mean is
-    /// zero.
-    pub fn relative_change_interval(&self, confidence: Confidence) -> (f64, f64) {
-        if self.base.mean() == 0.0 {
-            return (0.0, 0.0);
-        }
-        let (lo, hi) = self.delta_interval(confidence);
-        let (a, b) = (lo / self.base.mean(), hi / self.base.mean());
-        (a.min(b), a.max(b))
-    }
-
     /// Whether the delta is statistically distinguishable from zero at
     /// `confidence` (its confidence interval excludes zero).
     pub fn significant(&self, confidence: Confidence) -> bool {
@@ -196,12 +182,6 @@ mod tests {
         let (lo, hi) = mp.delta_interval(Confidence::C95);
         assert!(lo < mp.delta_mean() && mp.delta_mean() < hi);
         assert!((hi - lo) - 2.0 * mp.delta_half_width(Confidence::C95) < 1e-12);
-        let (rlo, rhi) = mp.relative_change_interval(Confidence::C95);
-        assert!(rlo <= mp.relative_change() && mp.relative_change() <= rhi);
-        assert!(rlo <= rhi, "interval is ordered even for negative base means");
-        // Degenerate base: well-defined zeros, not NaN.
-        let empty = MatchedPair::new();
-        assert_eq!(empty.relative_change_interval(Confidence::C95), (0.0, 0.0));
     }
 
     #[test]

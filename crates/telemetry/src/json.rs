@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn non_finite_numbers_are_pinned_to_zero_and_round_trip() {
         // The writer's `is_finite` gate is a deliberate contract, not an
-        // accident: JSON has no NaN/Inf tokens, and a registry record
+        // accident: JSON has no NaN/Inf tokens, and a run manifest
         // with a NaN CI half-width must still parse everywhere. Pin the
         // full family and the round-trip.
         for v in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

@@ -131,11 +131,6 @@ impl RunManifest {
         self.render(None)
     }
 
-    /// Serialize to JSON with `metrics` embedded under `"metrics"`.
-    pub fn to_json_with_metrics(&self, metrics: &MetricsSnapshot) -> String {
-        self.render(Some(metrics))
-    }
-
     fn render(&self, metrics: Option<&MetricsSnapshot>) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
@@ -328,7 +323,7 @@ mod tests {
     fn round_trip_with_metrics_is_valid_json() {
         let m = sample();
         let snap = crate::snapshot();
-        let text = m.to_json_with_metrics(&snap);
+        let text = m.render(Some(&snap));
         let doc = JsonValue::parse(&text).unwrap();
         assert!(doc.get("metrics").is_some());
         assert_eq!(doc.get("binary").unwrap().as_str(), Some("online"));
@@ -356,7 +351,7 @@ mod tests {
 
     #[test]
     fn manifest_without_run_id_parses_as_none() {
-        // Pre-registry manifests have no run_id key at all.
+        // Manifests older than run ids have no run_id key at all.
         let mut m = sample();
         m.run_id = None;
         let text = m.to_json().replace("  \"run_id\": null,\n", "");

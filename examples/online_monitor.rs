@@ -13,8 +13,7 @@
 //!
 //! The run also demonstrates the run journal: it installs one, as
 //! `--journal` does, and afterwards replays the `progress` and
-//! `anomaly` records a live dashboard (or `spectral-doctor`) would
-//! consume.
+//! `anomaly` records that `spectral-doctor analyze` diagnoses.
 
 use std::error::Error;
 
@@ -71,8 +70,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     );
 
-    // Replay the health records the runs just journaled — the same feed
-    // a live dashboard would tail, and what `spectral-doctor` diagnoses.
+    // Replay the health records the runs just journaled — what
+    // `spectral-doctor analyze` diagnoses.
     spectral::telemetry::flush_journal();
     let text = std::fs::read_to_string(&journal_path)?;
     let of_type = |ty: &str| -> Vec<&str> {
@@ -93,6 +92,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  {line}");
     }
     println!("  diagnose with: spectral-doctor analyze --journal {}", journal_path.display());
-    println!("  watch live   : spectral-doctor watch --journal {} --once", journal_path.display());
     Ok(())
 }

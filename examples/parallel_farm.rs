@@ -56,12 +56,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
     telemetry::journal_from_env()?;
-    // When SPECTRAL_REGISTRY names a registry, tally convergence
-    // summaries in-process so the appended record carries them.
-    let registry = spectral::registry::Registry::from_env()?;
-    if registry.is_some() {
-        telemetry::enable_run_summaries();
-    }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = threads.unwrap_or(cores);
 
@@ -146,12 +140,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(path) = metrics_out {
         manifest.write(&path, Some(&telemetry::snapshot()))?;
         println!("run manifest written to {path}");
-    }
-    if let Some(registry) = registry {
-        let summaries = telemetry::take_run_summaries();
-        let record = spectral::registry::RunRecord::from_manifest(&manifest, summaries);
-        registry.append(&record)?;
-        println!("run record appended to {}", registry.dir().display());
     }
     Ok(())
 }

@@ -18,7 +18,6 @@
 //! * [`warming`] — full (SMARTS), detailed, and adaptive (MRRL) warming
 //! * [`core`] — live-points: creation, libraries, runners, matched pairs
 //! * [`telemetry`] — metrics, span tracing, and run manifests
-//! * [`registry`] — append-only cross-run registry for perf trajectories
 //!
 //! ## Quickstart
 //!
@@ -48,7 +47,6 @@ pub use spectral_cache as cache;
 pub use spectral_codec as codec;
 pub use spectral_core as core;
 pub use spectral_isa as isa;
-pub use spectral_registry as registry;
 pub use spectral_stats as stats;
 pub use spectral_telemetry as telemetry;
 pub use spectral_uarch as uarch;
